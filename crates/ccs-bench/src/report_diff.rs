@@ -37,18 +37,15 @@ pub const GATED_SECTIONS: [&str; 3] = ["timings_ms", "fingerprints", "bounds"];
 /// * `metrics`, `cells` — per-run counter registries; byte-stable but
 ///   schema-fluid, diffed on demand with `ledger-diff` rather than
 ///   gated here;
-/// * `candidate_scan_speedup` — intra-run A/B ratio, not comparable
-///   across trajectory points;
 /// * `baseline_timings_ms`, `speedup`, `fingerprint_mismatches` —
 ///   derived from a `--baseline` run's own diff; gating them would
 ///   double-count the baseline comparison.
-pub const UNGATED_SECTIONS: [&str; 9] = [
+pub const UNGATED_SECTIONS: [&str; 8] = [
     "version",
     "seeds",
     "schedule_lengths",
     "metrics",
     "cells",
-    "candidate_scan_speedup",
     "baseline_timings_ms",
     "speedup",
     "fingerprint_mismatches",

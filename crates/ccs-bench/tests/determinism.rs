@@ -95,77 +95,6 @@ fn sweep_driver_is_thread_count_invariant() {
 }
 
 #[test]
-fn parallel_candidate_scan_is_thread_count_invariant() {
-    // Force the engine's parallel chunk scan on (threshold 1 puts every
-    // machine above it) and pin the worker count: the chunked scan plus
-    // ascending-PE reduce must reproduce the sequential engine — and
-    // therefore the reference sweep — byte-for-byte at any thread
-    // count, on the paper workloads and on random graph × wide-machine
-    // cells.
-    use ccs_core::{RemapConfig, ScanPolicy};
-    use ccs_workloads::{random_csdfg, RandomGraphConfig};
-
-    let wide_machines = vec![
-        Machine::mesh(4, 4),
-        Machine::complete(16),
-        Machine::mesh(8, 8),
-    ];
-    let mut cells: Vec<(String, ccs_model::Csdfg, Machine)> = Vec::new();
-    for w in ccs_workloads::all_workloads() {
-        for m in machine_suite() {
-            cells.push((w.name.to_string(), w.build(), m));
-        }
-    }
-    for seed in [1u64, 5, 9] {
-        let g = random_csdfg(
-            RandomGraphConfig {
-                nodes: 24,
-                back_edges: 8,
-                ..Default::default()
-            },
-            seed,
-        );
-        for m in &wide_machines {
-            cells.push((format!("random_{seed}"), g.clone(), m.clone()));
-        }
-    }
-
-    let config = |scan, parallel_pes| CompactConfig {
-        remap: RemapConfig {
-            scan,
-            parallel_pes,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let run_at = |threads: &str| {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let out: Vec<String> = cells
-            .iter()
-            .map(|(name, g, m)| {
-                let r = cyclo_compact(g, m, config(ScanPolicy::Engine, 1)).expect("legal");
-                format!("{name} on {}:\n{}", m.name(), encode(&r))
-            })
-            .collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        out
-    };
-    let one = run_at("1");
-    let two = run_at("2");
-    let eight = run_at("8");
-    assert_eq!(one, two, "parallel scan: 1 vs 2 threads");
-    assert_eq!(one, eight, "parallel scan: 1 vs 8 threads");
-
-    // And the forced-parallel engine agrees with the plain sequential
-    // scan (threshold above every machine here).
-    for ((name, g, m), parallel) in cells.iter().zip(&one) {
-        let seq = cyclo_compact(g, m, config(ScanPolicy::Engine, u32::MAX)).expect("legal");
-        let seq_enc = format!("{name} on {}:\n{}", m.name(), encode(&seq));
-        assert_eq!(&seq_enc, parallel, "sequential vs parallel engine");
-    }
-}
-
-#[test]
 fn metered_sweep_counters_are_thread_count_invariant() {
     // The per-cell MetricsSink observes the (deterministic) event
     // stream of its own cell only, so serializing every cell with

@@ -51,9 +51,7 @@ mod traffic;
 
 pub use compact::{cyclo_compact, CompactConfig, Compaction};
 pub use priority::Priority;
-pub use remap::{
-    rotate_remap, rotate_remap_in_place, InPlaceOutcome, RemapConfig, RemapMode, ScanPolicy,
-};
+pub use remap::{rotate_remap, rotate_remap_in_place, InPlaceOutcome, RemapConfig, RemapMode};
 pub use startup::{startup_schedule, StartupConfig};
 
 #[cfg(test)]
@@ -120,7 +118,6 @@ mod proptests {
                     mode: RemapMode::WithoutRelaxation,
                     max_growth: 0,
                     rows_per_pass: 1,
-                    ..Default::default()
                 },
                 ..Default::default()
             };
@@ -154,32 +151,23 @@ mod proptests {
         }
 
         #[test]
-        fn pruned_scan_matches_reference_scan(g in arb_csdfg(), m in arb_machine()) {
-            // Pruning soundness: the candidate-scan engine (sequential
-            // and forced-parallel) must reproduce the reference full
-            // sweep bit-for-bit — schedules, lengths, and the entire
-            // pass history.
-            let run = |scan: ScanPolicy, parallel_pes: u32| {
-                let cfg = CompactConfig {
-                    passes: 8,
-                    remap: RemapConfig { scan, parallel_pes, ..Default::default() },
-                    ..Default::default()
-                };
-                cyclo_compact(&g, &m, cfg).unwrap()
-            };
-            let reference = run(ScanPolicy::Reference, u32::MAX);
-            let engine = run(ScanPolicy::Engine, u32::MAX);
-            let parallel = run(ScanPolicy::Engine, 1);
-            for (label, r) in [("engine", &engine), ("parallel", &parallel)] {
-                prop_assert_eq!(&r.schedule, &reference.schedule, "{} schedule diverged", label);
-                prop_assert_eq!(r.best_length, reference.best_length, "{} best length", label);
-                prop_assert_eq!(r.initial_length, reference.initial_length, "{} initial", label);
-                prop_assert_eq!(r.history.len(), reference.history.len(), "{} passes", label);
-                for (a, b) in r.history.iter().zip(&reference.history) {
-                    prop_assert_eq!(a.length, b.length, "{} pass length", label);
-                    prop_assert_eq!(a.reverted, b.reverted, "{} pass verdict", label);
-                    prop_assert_eq!(&a.rotated, &b.rotated, "{} rotation set", label);
-                }
+        fn pruned_scan_matches_unpruned_scan(g in arb_csdfg(), m in arb_machine()) {
+            // Pruning soundness end to end: the untraced run prunes,
+            // the recorded run sweeps every PE — same scan function —
+            // and both must agree bit-for-bit on schedules, lengths,
+            // and the entire pass history.  (Each scan call is also
+            // checked against the reference sweep in test builds.)
+            let cfg = CompactConfig { passes: 8, ..Default::default() };
+            let pruned = cyclo_compact(&g, &m, cfg).unwrap();
+            let (unpruned, _) = ccs_trace::record(|| cyclo_compact(&g, &m, cfg).unwrap());
+            prop_assert_eq!(&pruned.schedule, &unpruned.schedule);
+            prop_assert_eq!(pruned.best_length, unpruned.best_length);
+            prop_assert_eq!(pruned.initial_length, unpruned.initial_length);
+            prop_assert_eq!(pruned.history.len(), unpruned.history.len());
+            for (a, b) in pruned.history.iter().zip(&unpruned.history) {
+                prop_assert_eq!(a.length, b.length);
+                prop_assert_eq!(a.reverted, b.reverted);
+                prop_assert_eq!(&a.rotated, &b.rotated);
             }
         }
 

@@ -216,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pes_cannot_beat_the_chain() {
+    fn more_pes_cannot_beat_the_chain() {
         // The zero-delay chain A->B->C fixes length >= 4 even with many
         // PEs (communication only hurts).
         let g = tiny_loop();

@@ -27,7 +27,6 @@ pub fn strict() -> CompactConfig {
             mode: RemapMode::WithoutRelaxation,
             max_growth: 0,
             rows_per_pass: 1,
-            ..Default::default()
         },
         ..Default::default()
     }

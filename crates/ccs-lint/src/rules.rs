@@ -53,7 +53,7 @@ const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 /// The innermost-loop functions that must stay panic-free in release
 /// builds, as `(file, function)` pairs.
 const HOT_PATH_FNS: [(&str, &str); 3] = [
-    ("crates/ccs-core/src/remap.rs", "best_position"),
+    ("crates/ccs-core/src/remap.rs", "scan"),
     ("crates/ccs-schedule/src/table.rs", "earliest_free"),
     ("crates/ccs-topology/src/machine.rs", "distance"),
 ];
@@ -585,7 +585,7 @@ mod tests {
 
     #[test]
     fn assert_in_hot_path_fn_is_flagged() {
-        let src = "fn best_position<P: Probe>(x: u32) -> u32 {\n    \
+        let src = "fn scan<P: Probe>(x: u32) -> u32 {\n    \
                    assert!(x > 0);\n    \
                    x\n}\n";
         let f = lint_source("crates/ccs-core/src/remap.rs", src);
@@ -625,7 +625,7 @@ mod tests {
         let f = lint_source("crates/ccs-topology/src/machine.rs", src);
         assert!(f.iter().all(|f| f.rule != RULE_HOT_ASSERT), "{f:?}");
         // A hot-path fn name in an uncovered file is not under the rule.
-        let src = "fn best_position() {\n    assert!(true);\n}\n";
+        let src = "fn scan() {\n    assert!(true);\n}\n";
         assert!(lint_source("crates/ccs-bench/src/lib.rs", src)
             .iter()
             .all(|f| f.rule != RULE_HOT_ASSERT));

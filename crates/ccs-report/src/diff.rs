@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 /// One run of the comparison, borrowed from the caller.
 pub struct DiffSide<'a> {
-    /// Short run label ("mesh:2x2", "complete:4 (reference scan)", …).
+    /// Short run label ("mesh:2x2", "complete:4 (strict policy)", …).
     pub label: &'a str,
     /// The recorded event stream of this run.
     pub events: &'a [TimedEvent],

@@ -400,7 +400,7 @@ impl Schedule {
     /// The per-PE first-free cursor: the smallest control step at
     /// which `pe` could host anything (every step strictly below is
     /// occupied).  `earliest_free(pe, from, d) >= free_cursor(pe)` for
-    /// any `from` and `d` — the candidate-scan engine uses this as a
+    /// any `from` and `d` — the candidate scan uses this as a
     /// cheap lower bound when deciding whether a PE can still beat the
     /// incumbent before paying for the window scan.
     #[inline]

@@ -173,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pes_overlap_independent_work() {
+    fn independent_work_overlaps_on_separate_pes() {
         // Two independent self-loops on two PEs run concurrently.
         let mut g = Csdfg::new();
         let a = g.add_task("A", 4).unwrap();

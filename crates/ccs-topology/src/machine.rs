@@ -155,7 +155,7 @@ impl Machine {
     /// is `distance(p, q)`.  Distances are symmetric (links are
     /// undirected), so one row serves both send and receive costs.
     ///
-    /// This is the bulk entry point of the candidate-scan engine: the
+    /// This is the bulk entry point of the candidate scan: the
     /// remapper hoists one row per resolved edge and scales it by the
     /// edge volume once, turning the per-PE `comm`/`lb`/`ub` sweeps
     /// into indexed adds with no multiplies.

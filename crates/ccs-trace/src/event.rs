@@ -4,8 +4,8 @@
 //!
 //! * **startup** — `PF` ready-list picks and per-node placements of the
 //!   start-up list scheduler;
-//! * **remap** — per-pass rotation sets, the per-PE candidate scan of
-//!   `best_position` (anticipation-function components and rejection
+//! * **remap** — per-pass rotation sets, the remapper's per-PE
+//!   candidate scan (anticipation-function components and rejection
 //!   reasons), `PSL` slack repairs, and per-pass hot-path counters;
 //! * **compact** — driver pass boundaries, best-snapshot updates, and
 //!   slot-occupancy snapshots.
@@ -47,7 +47,7 @@ impl fmt::Display for RunnerUp {
     }
 }
 
-/// Outcome of scanning one candidate PE in `best_position`.
+/// Outcome of scanning one candidate PE in `scan`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The anticipation-function bounds crossed (`AN(v, p) > ub`): no
@@ -157,7 +157,7 @@ pub enum Event {
         /// Rotated nodes, in remap order.
         nodes: Vec<u32>,
     },
-    /// One candidate PE scanned by `best_position` for one node at one
+    /// One candidate PE scanned by `scan` for one node at one
     /// target length, with the anticipation-function components.
     Candidate {
         /// Node being re-placed.
@@ -212,7 +212,7 @@ pub enum Event {
     },
     /// Per-pass hot-path counters, emitted once per rotate-remap pass.
     PassStats {
-        /// Resolved edges swept in `best_position` (per PE × target).
+        /// Resolved edges swept in `scan` (per PE × target).
         edges_swept: u64,
         /// Candidate `(PE, target)` slots probed.
         slots_probed: u64,

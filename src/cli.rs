@@ -4,7 +4,7 @@
 //! parses its flags into a typed request struct here, where the logic
 //! is unit-testable; `src/main.rs` only does I/O.
 
-use crate::core::{CompactConfig, RemapConfig, RemapMode, ScanPolicy};
+use crate::core::{CompactConfig, RemapConfig, RemapMode};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -98,9 +98,6 @@ pub enum DiffPolicy {
     Strict,
     /// Remap with relaxation (the default scheduler behavior).
     Relaxed,
-    /// The reference candidate scan (`ScanPolicy::Reference`) — the
-    /// unpruned sequential oracle.
-    Reference,
 }
 
 impl DiffPolicy {
@@ -109,7 +106,6 @@ impl DiffPolicy {
         match self {
             DiffPolicy::Strict => "strict",
             DiffPolicy::Relaxed => "relaxed",
-            DiffPolicy::Reference => "reference",
         }
     }
 }
@@ -153,7 +149,6 @@ impl ScheduleArgs {
             None => {}
             Some(DiffPolicy::Strict) => cfg.remap.mode = RemapMode::WithoutRelaxation,
             Some(DiffPolicy::Relaxed) => cfg.remap.mode = RemapMode::WithRelaxation,
-            Some(DiffPolicy::Reference) => cfg.remap.scan = ScanPolicy::Reference,
         }
         cfg
     }
@@ -252,7 +247,7 @@ OBSERVABILITY:
   --report-diff FILE
                  schedule the same graph twice — side A as configured
                  above, side B on `--diff-machine SPEC` and/or with
-                 `--diff-policy strict|relaxed|reference` — and write a
+                 `--diff-policy strict|relaxed` — and write a
                  comparison page: side-by-side start-up Gantts with the
                  first diverging rotation pass highlighted, the
                  edge-ledger delta table, paired link-load heatmaps
@@ -358,11 +353,9 @@ fn parse_schedule(mut args: VecDeque<String>) -> Result<Command, CliError> {
                 out.diff_policy = Some(match take_value(&mut args, "--diff-policy")?.as_str() {
                     "strict" => DiffPolicy::Strict,
                     "relaxed" => DiffPolicy::Relaxed,
-                    "reference" => DiffPolicy::Reference,
                     other => {
                         return Err(fail(format!(
-                            "--diff-policy: expected `strict`, `relaxed` or `reference`, \
-                             got {other:?}"
+                            "--diff-policy: expected `strict` or `relaxed`, got {other:?}"
                         )))
                     }
                 })
@@ -580,17 +573,7 @@ mod tests {
             db.remap.mode, da.remap.mode,
             "machine-only diff keeps the config"
         );
-        assert_eq!(db.remap.scan, da.remap.scan);
         assert_eq!(db.passes, da.passes);
-
-        let Command::Schedule(a) =
-            parse("schedule g --machine ring:4 --report-diff d.html --diff-policy reference")
-                .unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(a.diff_policy, Some(DiffPolicy::Reference));
-        assert_eq!(a.diff_config().remap.scan, ScanPolicy::Reference);
 
         let Command::Schedule(a) = parse(
             "schedule g --machine ring:4 --strict --report-diff d.html --diff-policy relaxed",

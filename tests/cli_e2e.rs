@@ -454,7 +454,7 @@ fn report_diff_policy_side_b_reuses_the_machine() {
             "--report-diff",
             path.to_str().unwrap(),
             "--diff-policy",
-            "reference",
+            "strict",
         ],
         &graph,
     );
@@ -466,7 +466,7 @@ fn report_diff_policy_side_b_reuses_the_machine() {
     let html = std::fs::read_to_string(&path).unwrap();
     cyclosched::report::check::check_html(&html).expect("policy diff passes report-check");
     assert!(
-        html.contains("2-D Mesh 2x2 (reference policy)"),
+        html.contains("2-D Mesh 2x2 (strict policy)"),
         "side B label names the policy"
     );
     std::fs::remove_dir_all(&dir).ok();
