@@ -16,6 +16,9 @@
 //! * `--seeds N` — random-sweep seeds per cell (default 10).
 //! * `--reps N` — timing repetitions, median reported (default 3).
 //!
+//! `paper_suite_certify` times the certifier alone over the paper
+//! cells: `ccs_analyze::analyze_cross` plus `ccs_bounds::compute_bounds`.
+//!
 //! A `candidate_scan/*` section times full 64-node compactions on the
 //! 16-PE machines (`candidate_scan/{mesh4x4,complete16}/engine`).
 //! Its `mesh8x8`/`complete32` fingerprint keys are the
@@ -237,6 +240,25 @@ fn main() {
         total
     });
     timings.insert("paper_suite_compaction".into(), t);
+
+    // --- Certifier timing: the analysis and bound layers a
+    // `--certify` run adds on top of compaction, over the same cells.
+    let graphs: Vec<_> = ccs_workloads::all_workloads()
+        .iter()
+        .map(|w| w.build())
+        .collect();
+    let machines = machine_suite();
+    let (t, _) = time_median(reps, || {
+        let mut total = 0u64;
+        for g in &graphs {
+            for machine in &machines {
+                total += ccs_analyze::analyze_cross(g, machine).diagnostics().len() as u64;
+                total += ccs_bounds::compute_bounds(g, machine).best_value();
+            }
+        }
+        total
+    });
+    timings.insert("paper_suite_certify".into(), t);
     assert!(
         !ccs_trace::installed(),
         "trace sink installed after timed sections"

@@ -319,7 +319,7 @@ fn critical_path_bound(g: &Csdfg) -> Option<Certificate> {
     let chain = critical_chain(&retimed);
     Some(Certificate {
         kind: BoundKind::CriticalPath,
-        value: u64::from(period),
+        value: period,
         witness: Witness::Chain {
             nodes: chain.iter().map(|&v| retimed.name(v).to_string()).collect(),
             total_time: chain.iter().map(|&v| u64::from(retimed.time(v))).sum(),

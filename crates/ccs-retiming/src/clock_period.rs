@@ -6,7 +6,15 @@
 //! retiming operation" (§4); this module provides the analytic optimum
 //! that rotation-based compaction can be compared against when
 //! resources and communication are ignored.
+//!
+//! [`min_clock_period`] tests the floor `max(max t(v), ceil(B))` first
+//! (`B` the iteration bound: no retiming beats either term), and
+//! binary-searches the periods above it only when the floor fails.
+//! `FEAS` runs in place on one per-edge delay array and reuses its
+//! buffers across every period it tests.  Periods are `u64`: a chain
+//! of `u32` task times overflows `u32`.
 
+use crate::iteration_bound::iteration_bound;
 use crate::retiming::Retiming;
 use ccs_model::{Csdfg, NodeId};
 
@@ -16,24 +24,24 @@ use ccs_model::{Csdfg, NodeId};
 /// # Panics
 ///
 /// Panics if the zero-delay sub-graph is cyclic (illegal CSDFG).
-pub fn clock_period(g: &Csdfg) -> u32 {
+pub fn clock_period(g: &Csdfg) -> u64 {
     deltas(g).into_iter().max().unwrap_or(0)
 }
 
 /// `Δ(v)` for every node (indexed by `NodeId::index`): the longest
 /// zero-delay chain ending at `v`, inclusive of `t(v)`.
-fn deltas(g: &Csdfg) -> Vec<u32> {
+fn deltas(g: &Csdfg) -> Vec<u64> {
     let order = g
         .zero_delay_topo()
         .expect("illegal CSDFG: zero-delay cycle");
-    let mut delta = vec![0u32; g.graph().node_bound()];
+    let mut delta = vec![0u64; g.graph().node_bound()];
     for &v in &order {
         let mut best = 0;
         for e in g.intra_iter_in_deps(v) {
             let (u, _) = g.endpoints(e);
             best = best.max(delta[u.index()]);
         }
-        delta[v.index()] = best + g.time(v);
+        delta[v.index()] = best + u64::from(g.time(v));
     }
     delta
 }
@@ -62,7 +70,7 @@ pub fn critical_chain(g: &Csdfg) -> Vec<NodeId> {
     let mut chain = vec![end];
     let mut v = end;
     loop {
-        let need = delta[v.index()] - g.time(v);
+        let need = delta[v.index()] - u64::from(g.time(v));
         if need == 0 {
             break;
         }
@@ -79,67 +87,187 @@ pub fn critical_chain(g: &Csdfg) -> Vec<NodeId> {
     chain
 }
 
+/// `FEAS` over a compact copy of the graph, reusable across periods.
+///
+/// Nodes are the live tasks in id order; each edge is one slot of the
+/// out-edge CSR.  A run keeps the Leiserson–Saxe retiming `r_ls` and
+/// the retimed delay of every slot, `d(e) + r_ls(v) - r_ls(u)`; the
+/// paper's convention is the negation of `r_ls`.
+struct Feas {
+    /// Graph node of each local node.
+    nodes: Vec<NodeId>,
+    time: Vec<u64>,
+    /// Out-edge CSR: local node `u`'s slots are `start[u]..start[u + 1]`.
+    start: Vec<usize>,
+    /// Target local node of each slot.
+    target: Vec<usize>,
+    /// Delay of each slot in the input graph.
+    delay0: Vec<i64>,
+    /// Delay of each slot under the current retiming.
+    delay: Vec<i64>,
+    r_ls: Vec<i64>,
+    /// `Δ` per node under the current delays.
+    delta: Vec<u64>,
+    /// Kahn's algorithm over the zero-delay slots: each node's
+    /// unreleased zero-delay in-degree, the largest `Δ` among its
+    /// released predecessors, and the queue of released nodes.
+    indegree: Vec<usize>,
+    pred_delta: Vec<u64>,
+    queue: Vec<usize>,
+}
+
+impl Feas {
+    fn new(g: &Csdfg) -> Self {
+        let nodes: Vec<NodeId> = g.tasks().collect();
+        let mut local = vec![usize::MAX; g.graph().node_bound()];
+        for (i, &v) in nodes.iter().enumerate() {
+            local[v.index()] = i;
+        }
+        let mut start = Vec::with_capacity(nodes.len() + 1);
+        let mut target = Vec::new();
+        let mut delay0 = Vec::new();
+        for &u in &nodes {
+            start.push(target.len());
+            for e in g.out_deps(u) {
+                target.push(local[g.endpoints(e).1.index()]);
+                delay0.push(i64::from(g.delay(e)));
+            }
+        }
+        start.push(target.len());
+        let n = nodes.len();
+        Feas {
+            time: nodes.iter().map(|&v| u64::from(g.time(v))).collect(),
+            nodes,
+            start,
+            target,
+            delay: delay0.clone(),
+            delay0,
+            r_ls: vec![0; n],
+            delta: vec![0; n],
+            indegree: vec![0; n],
+            pred_delta: vec![0; n],
+            queue: Vec::with_capacity(n),
+        }
+    }
+
+    /// `FEAS(c)`: `n - 1` rounds of "retime every node whose `Δ`
+    /// exceeds `c` by one", then check the period.  Returns the witness
+    /// retiming (paper convention, normalized) when `c` is achievable.
+    fn run(&mut self, g: &Csdfg, c: u64) -> Option<Retiming> {
+        let n = self.nodes.len();
+        self.r_ls.fill(0);
+        self.delay.copy_from_slice(&self.delay0);
+        for _ in 0..n.saturating_sub(1) {
+            self.compute_deltas();
+            let mut changed = false;
+            for v in 0..n {
+                if self.delta[v] > c {
+                    self.r_ls[v] += 1;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return Some(self.witness(g));
+            }
+            self.retime();
+        }
+        self.compute_deltas();
+        self.delta.iter().all(|&d| d <= c).then(|| self.witness(g))
+    }
+
+    /// Recomputes every slot's delay from `r_ls`.
+    ///
+    /// Every delay stays non-negative, whatever `c`: a round takes a
+    /// delay off `v -> x` only when it retimes `v`, and if that edge
+    /// carried none, `Δ(x) > Δ(v) > c` retimes `x` in the same round.
+    fn retime(&mut self) {
+        for u in 0..self.nodes.len() {
+            for s in self.start[u]..self.start[u + 1] {
+                let d = self.delay0[s] + self.r_ls[self.target[s]] - self.r_ls[u];
+                debug_assert!(d >= 0, "FEAS keeps every delay non-negative");
+                self.delay[s] = d;
+            }
+        }
+    }
+
+    /// `Δ` of every node under the current delays, by Kahn's algorithm
+    /// over the zero-delay slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the zero-delay slots form a cycle (illegal CSDFG).
+    fn compute_deltas(&mut self) {
+        let n = self.nodes.len();
+        self.indegree.fill(0);
+        self.pred_delta.fill(0);
+        for s in 0..self.target.len() {
+            if self.delay[s] == 0 {
+                self.indegree[self.target[s]] += 1;
+            }
+        }
+        self.queue.clear();
+        self.queue.extend((0..n).filter(|&v| self.indegree[v] == 0));
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let du = self.pred_delta[u] + self.time[u];
+            self.delta[u] = du;
+            for s in self.start[u]..self.start[u + 1] {
+                if self.delay[s] == 0 {
+                    let v = self.target[s];
+                    self.pred_delta[v] = self.pred_delta[v].max(du);
+                    self.indegree[v] -= 1;
+                    if self.indegree[v] == 0 {
+                        self.queue.push(v);
+                    }
+                }
+            }
+        }
+        assert!(head == n, "illegal CSDFG: zero-delay cycle");
+    }
+
+    /// The current retiming in the paper's convention, normalized.
+    fn witness(&self, g: &Csdfg) -> Retiming {
+        let mut r = Retiming::zero_for(g);
+        for (i, &v) in self.nodes.iter().enumerate() {
+            r.set(v, -self.r_ls[i]);
+        }
+        r.normalize(g);
+        r
+    }
+}
+
 /// Tests whether clock period `c` is achievable by some legal retiming
 /// (the `FEAS` algorithm).  On success returns the witness retiming in
 /// the *paper's* sign convention, normalized to non-negative values.
-pub fn feasible(g: &Csdfg, c: u32) -> Option<Retiming> {
-    let n = g.task_count();
-    // Work in Leiserson-Saxe convention internally:
-    // d_ls(u->v) = d + r_ls(v) - r_ls(u); paper convention is negated.
-    let mut r_ls = vec![0i64; g.graph().node_bound()];
-    let mut current = g.clone();
-    for _ in 0..n.saturating_sub(1) {
-        let delta = deltas(&current);
-        let mut changed = false;
-        for v in g.tasks() {
-            if delta[v.index()] > c {
-                r_ls[v.index()] += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        // Re-apply from scratch to keep arithmetic simple.
-        let mut r = Retiming::zero_for(g);
-        for v in g.tasks() {
-            r.set(v, -r_ls[v.index()]);
-        }
-        if !r.is_legal(g) {
-            // FEAS guarantees legality for feasible c; an illegal
-            // intermediate only happens when c is infeasible.
-            return None;
-        }
-        current = r.apply(g);
-    }
-    if clock_period(&current) <= c {
-        let mut r = Retiming::zero_for(g);
-        for v in g.tasks() {
-            r.set(v, -r_ls[v.index()]);
-        }
-        r.normalize(g);
-        Some(r)
-    } else {
-        None
-    }
+pub fn feasible(g: &Csdfg, c: u64) -> Option<Retiming> {
+    Feas::new(g).run(g, c)
 }
 
 /// Minimum achievable clock period and a witness retiming.
 ///
-/// Binary search over `c` in `[max_v t(v), Φ(G)]` using [`feasible`].
-pub fn min_clock_period(g: &Csdfg) -> (u32, Retiming) {
-    let lo0 = g.tasks().map(|v| g.time(v)).max().unwrap_or(0);
+/// Tests the floor `max(max_v t(v), ceil(B))` with [`feasible`] first;
+/// if it fails, binary-searches `(floor, Φ(G)]`.  The witness is
+/// `feasible(g, c*)` at the minimum period `c*` either way.
+///
+/// # Panics
+///
+/// Panics if the zero-delay sub-graph is cyclic (illegal CSDFG).
+pub fn min_clock_period(g: &Csdfg) -> (u64, Retiming) {
     let hi0 = clock_period(g);
-    let (mut lo, mut hi) = (lo0, hi0);
+    let heaviest = g.tasks().map(|v| u64::from(g.time(v))).max().unwrap_or(0);
+    let floor = iteration_bound(g).map_or(heaviest, |b| heaviest.max(b.ceil()));
+    let mut feas = Feas::new(g);
+    if let Some(r) = feas.run(g, floor) {
+        return (floor, r);
+    }
+    let (mut lo, mut hi) = (floor + 1, hi0);
     let mut best = (hi0, Retiming::zero_for(g));
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
-        match feasible(g, mid) {
+        match feas.run(g, mid) {
             Some(r) => {
                 best = (mid, r);
-                if mid == 0 {
-                    break;
-                }
                 hi = mid - 1;
             }
             None => lo = mid + 1,
@@ -149,13 +277,83 @@ pub fn min_clock_period(g: &Csdfg) -> (u32, Retiming) {
 }
 
 /// Convenience: the retimed graph achieving the minimum clock period.
-pub fn retime_min_period(g: &Csdfg) -> (u32, Csdfg) {
+pub fn retime_min_period(g: &Csdfg) -> (u64, Csdfg) {
     let (c, r) = min_clock_period(g);
     (c, r.apply(g))
 }
 
-#[allow(unused)]
-fn _assert_node_id_used(v: NodeId) {}
+/// The clone-based `FEAS` and the binary search from `max t(v)` that
+/// [`min_clock_period`] replaced, kept as its test oracle.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{clock_period, deltas};
+    use crate::retiming::Retiming;
+    use ccs_model::Csdfg;
+
+    /// `FEAS(c)`, re-retiming a clone of the whole graph each round.
+    pub(crate) fn feasible(g: &Csdfg, c: u64) -> Option<Retiming> {
+        let n = g.task_count();
+        // Work in Leiserson-Saxe convention internally:
+        // d_ls(u->v) = d + r_ls(v) - r_ls(u); paper convention is negated.
+        let mut r_ls = vec![0i64; g.graph().node_bound()];
+        let mut current = g.clone();
+        for _ in 0..n.saturating_sub(1) {
+            let delta = deltas(&current);
+            let mut changed = false;
+            for v in g.tasks() {
+                if delta[v.index()] > c {
+                    r_ls[v.index()] += 1;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            // Re-apply from scratch to keep arithmetic simple.
+            let mut r = Retiming::zero_for(g);
+            for v in g.tasks() {
+                r.set(v, -r_ls[v.index()]);
+            }
+            if !r.is_legal(g) {
+                return None;
+            }
+            current = r.apply(g);
+        }
+        if clock_period(&current) <= c {
+            let mut r = Retiming::zero_for(g);
+            for v in g.tasks() {
+                r.set(v, -r_ls[v.index()]);
+            }
+            r.normalize(g);
+            Some(r)
+        } else {
+            None
+        }
+    }
+
+    /// Binary search over `c` in `[max_v t(v), Φ(G)]` using
+    /// [`feasible`].
+    pub(crate) fn min_clock_period(g: &Csdfg) -> (u64, Retiming) {
+        let lo0 = g.tasks().map(|v| u64::from(g.time(v))).max().unwrap_or(0);
+        let hi0 = clock_period(g);
+        let (mut lo, mut hi) = (lo0, hi0);
+        let mut best = (hi0, Retiming::zero_for(g));
+        while lo <= hi {
+            let mid = lo + (hi - lo) / 2;
+            match feasible(g, mid) {
+                Some(r) => {
+                    best = (mid, r);
+                    if mid == 0 {
+                        break;
+                    }
+                    hi = mid - 1;
+                }
+                None => lo = mid + 1,
+            }
+        }
+        best
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -271,7 +469,10 @@ mod tests {
         let (g, [a, b, c]) = loop3();
         // Zero-delay chain A -> B -> C carries the whole period.
         assert_eq!(critical_chain(&g), vec![a, b, c]);
-        let total: u32 = critical_chain(&g).iter().map(|&v| g.time(v)).sum();
+        let total: u64 = critical_chain(&g)
+            .iter()
+            .map(|&v| u64::from(g.time(v)))
+            .sum();
         assert_eq!(total, clock_period(&g));
     }
 

@@ -166,7 +166,7 @@ pub fn feasible_wd(g: &Csdfg, wd: &WdMatrices, c: u64) -> Option<Retiming> {
 
 /// Minimum clock period via binary search over the candidate `D`
 /// values (the `OPT1` algorithm), with a witness retiming.
-pub fn min_clock_period_wd(g: &Csdfg) -> (u32, Retiming) {
+pub fn min_clock_period_wd(g: &Csdfg) -> (u64, Retiming) {
     let wd = WdMatrices::new(g);
     let candidates = wd.candidate_periods();
     let mut best: Option<(u64, Retiming)> = None;
@@ -185,8 +185,7 @@ pub fn min_clock_period_wd(g: &Csdfg) -> (u32, Retiming) {
             None => lo = mid + 1,
         }
     }
-    let (c, r) = best.expect("the original period is always feasible");
-    (u32::try_from(c).expect("period fits u32"), r)
+    best.expect("the original period is always feasible")
 }
 
 #[cfg(test)]

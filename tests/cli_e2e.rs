@@ -69,6 +69,21 @@ fn bound_reports_iteration_bound() {
 }
 
 #[test]
+fn bound_clock_period_does_not_wrap_at_u32() {
+    // Two 3e9 tasks on one zero-delay chain: the period is 6e9, which a
+    // u32 sum wraps below the iteration bound.
+    let graph = "node A t=3000000000\nnode B t=3000000000\n\
+                 edge A -> B d=0 c=1\nedge B -> A d=1 c=1\n";
+    let out = run_with_stdin(&["bound", "-"], graph);
+    let text = stdout_of(&out);
+    assert!(text.contains("iteration bound: 6000000000"), "{text}");
+    assert!(
+        text.contains("minimum clock period under retiming (no resources): 6000000000"),
+        "{text}"
+    );
+}
+
+#[test]
 fn schedule_from_stdin_renders_a_table() {
     let out = run_with_stdin(&["schedule", "-", "--machine", "mesh:2x2"], GRAPH);
     let text = stdout_of(&out);

@@ -134,5 +134,5 @@ fn minimum_clock_period_lower_bounds_single_cycle_machines() {
     let bound = iteration_bound(&g).unwrap();
     assert!(u64::from(r.best_length) >= bound.ceil());
     // phi is itself >= the bound's ceiling.
-    assert!(u64::from(phi) >= bound.ceil());
+    assert!(phi >= bound.ceil());
 }
