@@ -18,6 +18,9 @@
 //!
 //! `paper_suite_certify` times the certifier alone over the paper
 //! cells: `ccs_analyze::analyze_cross` plus `ccs_bounds::compute_bounds`.
+//! `paper_suite_report` times the flight-recorder layers over the same
+//! cells: `ccs_profile::build` plus `ccs_report::render_report`, on
+//! traces recorded outside the timer.
 //!
 //! A `candidate_scan/*` section times full 64-node compactions on the
 //! 16-PE machines (`candidate_scan/{mesh4x4,complete16}/engine`).
@@ -38,6 +41,7 @@ use std::time::Instant;
 
 use ccs_bench::experiments::random_sweep;
 use ccs_core::{cyclo_compact, CompactConfig};
+use ccs_graph::NodeId;
 use ccs_topology::Machine;
 use ccs_trace::metrics::MetricsSink;
 use ccs_workloads::random::{random_csdfg, RandomGraphConfig};
@@ -259,6 +263,40 @@ fn main() {
         total
     });
     timings.insert("paper_suite_certify".into(), t);
+
+    // --- Report timing: the communication profile and the HTML page a
+    // `--report` run adds, over the same cells.  The traces and
+    // certificates are made once, untimed, so the timer covers
+    // `ccs_profile::build` and `render_report` alone.
+    let traced: Vec<_> = graphs
+        .iter()
+        .flat_map(|g| machines.iter().map(move |m| (g, m)))
+        .map(|(g, m)| {
+            let (r, events) = ccs_trace::record(|| cyclo_compact(g, m, CompactConfig::default()));
+            let r = r.expect("legal");
+            let certificate = ccs_bounds::certify_period(g, m, r.best_length);
+            (m, r, events, certificate)
+        })
+        .collect();
+    let (t, _) = time_median(reps, || {
+        let mut bytes = 0usize;
+        for (m, r, events, certificate) in &traced {
+            let profile = ccs_profile::build(events, m);
+            let page = ccs_report::render_report(
+                &ccs_report::ReportInput {
+                    title: m.name(),
+                    events,
+                    machine: m,
+                    profile: &profile,
+                    certificate: Some(certificate),
+                },
+                |n| r.graph.name(NodeId::from_index(n as usize)).to_string(),
+            );
+            bytes += page.len();
+        }
+        bytes
+    });
+    timings.insert("paper_suite_report".into(), t);
     assert!(
         !ccs_trace::installed(),
         "trace sink installed after timed sections"

@@ -288,7 +288,7 @@ fn spark_svg(caption: &str, values: &[Option<f64>], marks: &[bool]) -> String {
             r#"  <circle cx="{:.1}" cy="{:.1}" r="{r}" fill="{fill}"><title>{}</title></circle>"#,
             x_of(i),
             y_of(*v),
-            esc(&format!(
+            esc(format_args!(
                 "report {}: {v:.2}{}",
                 i + 1,
                 if drifted { " (fingerprint drift)" } else { "" }
@@ -299,14 +299,14 @@ fn spark_svg(caption: &str, values: &[Option<f64>], marks: &[bool]) -> String {
         let _ = writeln!(
             out,
             r#"  <text class="sp-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{hi:.2}")),
+            esc(format_args!("{hi:.2}")),
             tx = SPARK_LEFT + SPARK_PLOT_W + 6,
             ty = SPARK_TOP + 8
         );
         let _ = writeln!(
             out,
             r#"  <text class="sp-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{lo:.2}")),
+            esc(format_args!("{lo:.2}")),
             tx = SPARK_LEFT + SPARK_PLOT_W + 6,
             ty = SPARK_TOP + SPARK_PLOT_H
         );
@@ -393,7 +393,7 @@ fn findings_section(t: &Trajectory) -> String {
         let _ = writeln!(
             out,
             "<p><span class=\"reverted\">FINGERPRINT DRIFT</span> {}</p>",
-            esc(&format!(
+            esc(format_args!(
                 "{}: {} -> {} between {} and {}",
                 d.key, d.from, d.to, d.between.0, d.between.1
             ))
@@ -403,7 +403,7 @@ fn findings_section(t: &Trajectory) -> String {
         let _ = writeln!(
             out,
             "<p><span class=\"reverted\">GAP GROWTH</span> {}</p>",
-            esc(&format!(
+            esc(format_args!(
                 "{}: {:.1}% -> {:.1}% between {} and {}",
                 g.key, g.from_pct, g.to_pct, g.between.0, g.between.1
             ))
@@ -413,7 +413,7 @@ fn findings_section(t: &Trajectory) -> String {
         let _ = writeln!(
             out,
             "<p><span class=\"reverted\">TIMING REGRESSION</span> {}</p>",
-            esc(&format!(
+            esc(format_args!(
                 "{}: {:.2} ms -> {:.2} ms (+{:.0}%) between {} and {}",
                 r.key, r.from_ms, r.to_ms, r.pct, r.between.0, r.between.1
             ))
@@ -428,21 +428,30 @@ fn findings_section(t: &Trajectory) -> String {
 /// gate findings.
 pub fn trajectory_html(t: &Trajectory) -> String {
     let labels: Vec<&str> = t.reports.iter().map(|r| r.label.as_str()).collect();
-    let meta = format!("{} report(s): {}", t.reports.len(), labels.join(" -> "));
-    let sections = [
-        (
-            "timings",
-            "Timing trajectory (median ms per experiment)",
-            timings_section(t),
-        ),
-        (
-            "gaps",
-            "Optimality-gap trajectory (drift markers in red)",
-            gaps_section(t),
-        ),
-        ("findings", "Gate findings", findings_section(t)),
-    ];
-    html::document("BENCH trajectory", &meta, &sections)
+    let mut out = String::new();
+    html::document(
+        &mut out,
+        "BENCH trajectory",
+        format_args!("{} report(s): {}", t.reports.len(), labels.join(" -> ")),
+        |out| {
+            html::section(
+                out,
+                "timings",
+                "Timing trajectory (median ms per experiment)",
+                |out| out.push_str(&timings_section(t)),
+            );
+            html::section(
+                out,
+                "gaps",
+                "Optimality-gap trajectory (drift markers in red)",
+                |out| out.push_str(&gaps_section(t)),
+            );
+            html::section(out, "findings", "Gate findings", |out| {
+                out.push_str(&findings_section(t))
+            });
+        },
+    );
+    out
 }
 
 #[cfg(test)]

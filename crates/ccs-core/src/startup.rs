@@ -37,7 +37,8 @@ pub struct StartupConfig {
 ///
 /// # Errors
 ///
-/// Returns an error if `g` is illegal (zero-delay cycle).
+/// Returns an error if `g` is illegal (zero-delay cycle) or a
+/// zero-delay path runs past control step `u32::MAX`.
 pub fn startup_schedule(
     g: &Csdfg,
     machine: &Machine,
@@ -60,9 +61,7 @@ pub(crate) fn startup_probed<P: Probe>(
     probe: &mut P,
 ) -> Result<Schedule, ModelError> {
     g.check_legal()?;
-    // INVARIANT: check_legal above proved the zero-delay view acyclic,
-    // the only failure mode of the timing analysis.
-    let timing = timing::analyze(g).expect("legal graph has acyclic zero-delay view");
+    let timing = timing::analyze(g)?;
     let mut sched = Schedule::new(machine.num_pes());
     if P::ACTIVE {
         probe.emit(Event::StartupBegin {

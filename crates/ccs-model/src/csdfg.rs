@@ -37,6 +37,9 @@ pub enum ModelError {
     ZeroDelayCycle(NodeId),
     /// An unknown task name was referenced.
     UnknownTask(String),
+    /// The zero-delay path ending at this task runs past control step
+    /// `u32::MAX`, the last step a schedule holds.
+    StepOverflow(String),
 }
 
 impl fmt::Display for ModelError {
@@ -49,6 +52,12 @@ impl fmt::Display for ModelError {
                 write!(f, "zero-delay cycle through node {n} (illegal DFG)")
             }
             ModelError::UnknownTask(n) => write!(f, "unknown task name {n:?}"),
+            ModelError::StepOverflow(n) => write!(
+                f,
+                "the zero-delay path ending at task {n:?} runs past control step {}, \
+                 the last step a schedule holds",
+                u32::MAX
+            ),
         }
     }
 }

@@ -5,9 +5,8 @@
 //! feed the *mobility* term `MB(v)` of the paper's priority function
 //! (Definition 3.4) and provide lower bounds for sanity checks.
 
-use crate::csdfg::Csdfg;
+use crate::csdfg::{Csdfg, ModelError};
 use ccs_graph::algo::paths::dag_longest_paths;
-use ccs_graph::algo::topo::CycleError;
 use ccs_graph::NodeId;
 
 /// Result of [`analyze`]: all values are 1-based control steps, the
@@ -49,9 +48,12 @@ impl Timing {
 
 /// Computes [`Timing`] for the zero-delay DAG view of `g`.
 ///
-/// Fails with [`CycleError`] if `g` has a zero-delay cycle (illegal
-/// CSDFG).
-pub fn analyze(g: &Csdfg) -> Result<Timing, CycleError> {
+/// # Errors
+///
+/// [`ModelError::ZeroDelayCycle`] if `g` has a zero-delay cycle
+/// (illegal CSDFG); [`ModelError::StepOverflow`] if a zero-delay path
+/// ends past control step `u32::MAX`, the last step a schedule holds.
+pub fn analyze(g: &Csdfg) -> Result<Timing, ModelError> {
     let graph = g.graph();
     // ASAP: longest path counting execution times, start step 1.
     // dist(v) = max(1, max over zero-delay edges u->v of dist(u)+t(u)).
@@ -60,16 +62,23 @@ pub fn analyze(g: &Csdfg) -> Result<Timing, CycleError> {
         |e| g.delay(e) == 0,
         |e| i64::from(g.time(graph.edge_source(e))),
         |_| 1,
-    )?;
+    )
+    .map_err(|c| ModelError::ZeroDelayCycle(c.witness))?;
     let mut critical: i64 = 0;
     for v in g.tasks() {
-        critical = critical.max(asap_raw[v.index()] + i64::from(g.time(v)) - 1);
+        let end = asap_raw[v.index()] + i64::from(g.time(v)) - 1;
+        if end > i64::from(u32::MAX) {
+            return Err(ModelError::StepOverflow(g.name(v).to_string()));
+        }
+        critical = critical.max(end);
     }
     // Tail length T(v) = t(v) + max over zero-delay out-edges T(w);
     // computed as longest path in the reversed orientation.
     // dag_longest_paths walks forward edges, so emulate reversal by
     // processing the reverse topological order manually.
-    let order = g.zero_delay_topo()?;
+    let order = g
+        .zero_delay_topo()
+        .map_err(|c| ModelError::ZeroDelayCycle(c.witness))?;
     let bound = graph.node_bound();
     let mut tail = vec![0i64; bound];
     for &v in order.iter().rev() {
@@ -80,21 +89,21 @@ pub fn analyze(g: &Csdfg) -> Result<Timing, CycleError> {
         }
         tail[v.index()] = best + i64::from(g.time(v));
     }
-    let asap = asap_raw
-        .iter()
-        .map(|&x| u32::try_from(x.max(1)).unwrap())
-        .collect();
+    // Every ASAP and ALAP step lies in 1..=max(critical, 1), and
+    // `critical` was checked above to fit a control step.
+    let step = |x: i64| u32::try_from(x.max(1)).unwrap_or(u32::MAX);
+    let asap = asap_raw.iter().map(|&x| step(x)).collect();
     let alap = g
         .tasks()
         .map(|v| (v.index(), critical - tail[v.index()] + 1))
         .fold(vec![0u32; bound], |mut acc, (i, x)| {
-            acc[i] = u32::try_from(x.max(1)).unwrap();
+            acc[i] = step(x);
             acc
         });
     Ok(Timing {
         asap,
         alap,
-        critical_path: u32::try_from(critical.max(0)).unwrap(),
+        critical_path: u32::try_from(critical).unwrap_or(u32::MAX),
     })
 }
 
@@ -220,5 +229,19 @@ mod tests {
         for v in [a, b, c] {
             assert_eq!(t.mobility(v), 0);
         }
+    }
+
+    #[test]
+    fn steps_past_u32_are_an_error() {
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", u32::MAX).unwrap();
+        let b = g.add_task("B", 1).unwrap();
+        g.add_dep(a, b, 0, 1).unwrap();
+        g.add_dep(b, a, 1, 1).unwrap();
+        assert_eq!(analyze(&g), Err(ModelError::StepOverflow("B".to_string())));
+        // The last step itself still fits.
+        let mut g = Csdfg::new();
+        g.add_task("A", u32::MAX).unwrap();
+        assert_eq!(analyze(&g).unwrap().critical_path, u32::MAX);
     }
 }

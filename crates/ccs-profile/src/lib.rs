@@ -398,45 +398,95 @@ pub struct ProfileBuilder {
     best_length: u32,
 }
 
-/// Hop-weighted link loads of one edge ledger on `machine`: each
-/// crossing edge charges its volume to every link on the deterministic
-/// BFS route between its PEs.  Σ over links of one edge's volume =
-/// hops · volume = the edge's cost, so link loads and the ledger agree
-/// (the conservation invariant `report-check` verifies).  Machines
-/// without meaningful routes (no links, or disconnected) load nothing.
-pub fn link_loads(machine: &Machine, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
-    let mut links: Vec<LinkLoad> = machine
-        .links()
-        .iter()
-        .map(|&(a, b)| LinkLoad {
-            a: u32::try_from(a).unwrap_or(u32::MAX),
-            b: u32::try_from(b).unwrap_or(u32::MAX),
-            ..LinkLoad::default()
-        })
-        .collect();
-    if !routable(machine) {
-        return links;
-    }
-    let routes = RoutingTable::new(machine);
-    let index_of = |a: usize, b: usize| {
-        machine
+/// A machine's deterministic routes plus a PE-pair → link index:
+/// what [`link_loads`] needs to charge a ledger onto links.  Build it
+/// once per machine and share it across every ledger of a run (a
+/// report page loads one ledger per accepted pass).
+pub struct LinkRoutes {
+    /// One zero load per machine link, in link order: where every
+    /// ledger's loads start.
+    unloaded: Vec<LinkLoad>,
+    /// Deterministic BFS routes; `None` when the machine is not
+    /// [`routable`].
+    routes: Option<RoutingTable>,
+    /// PE count: the row stride of `link_of`.
+    n: usize,
+    /// `link_of[a * n + b]` = index of the first link joining PEs `a`
+    /// and `b` (either orientation), `u32::MAX` for non-neighbours.
+    /// Empty when `routes` is `None`.
+    link_of: Vec<u32>,
+}
+
+impl LinkRoutes {
+    /// Routes and indexes the links of `machine`.
+    pub fn new(machine: &Machine) -> Self {
+        let unloaded = machine
             .links()
             .iter()
-            .position(|&l| l == (a.min(b), a.max(b)))
+            .map(|&(a, b)| LinkLoad {
+                a: u32::try_from(a).unwrap_or(u32::MAX),
+                b: u32::try_from(b).unwrap_or(u32::MAX),
+                ..LinkLoad::default()
+            })
+            .collect();
+        let n = machine.num_pes();
+        if !routable(machine) {
+            return LinkRoutes {
+                unloaded,
+                routes: None,
+                n,
+                link_of: Vec::new(),
+            };
+        }
+        let mut link_of = vec![u32::MAX; n * n];
+        for (ix, &(a, b)) in (0u32..).zip(machine.links()) {
+            for slot in [a * n + b, b * n + a] {
+                if link_of[slot] == u32::MAX {
+                    link_of[slot] = ix;
+                }
+            }
+        }
+        LinkRoutes {
+            unloaded,
+            routes: Some(RoutingTable::new(machine)),
+            n,
+            link_of,
+        }
+    }
+
+    /// The routing table, when the machine is [`routable`].
+    pub fn table(&self) -> Option<&RoutingTable> {
+        self.routes.as_ref()
+    }
+}
+
+/// Hop-weighted link loads of one edge ledger, in the machine's link
+/// order: each crossing edge charges its volume to every link on the
+/// deterministic BFS route between its PEs.  Σ over links of one
+/// edge's volume = hops · volume = the edge's cost, so link loads and
+/// the ledger agree (the conservation invariant `report-check`
+/// verifies).  Machines without meaningful routes (no links, or
+/// disconnected) load nothing.
+pub fn link_loads(routes: &LinkRoutes, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
+    let mut links = routes.unloaded.clone();
+    let Some(table) = &routes.routes else {
+        return links;
     };
+    let n = routes.n;
     for e in edges {
-        if !e.crossing() || e.hops == 0 || e.hops == u32::MAX {
+        let (src, dst) = (e.src_pe as usize, e.dst_pe as usize);
+        if !e.crossing() || e.hops == 0 || e.hops == u32::MAX || src >= n || dst >= n {
             continue;
         }
-        let (sp, dp) = (
-            Pe::from_index(e.src_pe as usize),
-            Pe::from_index(e.dst_pe as usize),
-        );
-        for (a, b) in routes.links_on_path(sp, dp) {
-            if let Some(ix) = index_of(a, b) {
-                links[ix].volume = links[ix].volume.saturating_add(u64::from(e.volume));
-                links[ix].messages += 1;
+        let (mut cur, dst) = (Pe::from_index(src), Pe::from_index(dst));
+        while cur != dst {
+            let next = table.next_hop(cur, dst);
+            if let Some(l) = links.get_mut(routes.link_of[cur.index() * n + next.index()] as usize)
+            {
+                l.volume = l.volume.saturating_add(u64::from(e.volume));
+                l.messages += 1;
             }
+            cur = next;
         }
     }
     links
@@ -459,7 +509,7 @@ impl ProfileBuilder {
     pub fn finish(self, machine: &Machine) -> CommProfile {
         let edges = self.cur_edges;
         let (total_comm, crossing_edges, local_edges) = fold(&edges);
-        let links = link_loads(machine, &edges);
+        let links = link_loads(&LinkRoutes::new(machine), &edges);
 
         // Per-PE rows: loads from the traffic.pe events, send/recv
         // from the ledger.

@@ -4,19 +4,25 @@
 //! per-link load bar chart — a terminal-native view of which parts of
 //! the fabric the schedule actually stresses.  [`heatmap_svg`] is the
 //! rich equivalent: a self-contained SVG of the same matrix and link
-//! bars, written by `cyclosched schedule --heatmap-svg` and embedded
-//! per accepted pass by the `ccs-report` HTML report.  Pure functions
-//! of the profile, so the output is as deterministic as the profile
-//! itself.
+//! bars, written by `cyclosched schedule --heatmap-svg`.
+//! [`heatmap_panel`] is the one SVG heatmap renderer behind it and
+//! behind every panel `ccs-report` embeds (per accepted pass, per diff
+//! side, per grid tile).  Pure functions of the profile, so the output
+//! is as deterministic as the profile itself.
 //!
-//! Everything interpolated into SVG/HTML text content goes through
-//! [`esc`] — the one audited escape helper (the `escaped-html-output`
-//! repo lint enforces this for every markup renderer in the workspace's
-//! report path).
+//! The SVG renderers stream: each appends its markup to a caller's
+//! `String`, so a report page is written into one buffer with no
+//! per-element temporaries.  Everything interpolated into SVG/HTML text
+//! goes through [`esc`] — the one audited escape helper (the
+//! `escaped-html-output` repo lint enforces this for every markup
+//! renderer in the workspace's report path).  The per-cell and per-link
+//! loops, which write most of a page's bytes, append integers with
+//! [`push_uint`] instead: decimal digits cannot form markup, and each
+//! such site carries an `ESCAPED:` note saying so.
 
 use crate::CommProfile;
 use crate::{EdgeTraffic, LinkLoad};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Intensity ramp for the matrix cells, dimmest to brightest.
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -111,24 +117,81 @@ pub fn heatmap(p: &CommProfile) -> String {
     out
 }
 
-/// Escapes `s` for HTML/SVG text and attribute contexts: the five
-/// XML-special characters become entities.  This is the single audited
-/// escape helper of the reporting path — `ccs-report` re-exports it,
-/// and the `escaped-html-output` repo lint keeps every markup
-/// interpolation routed through it.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            _ => out.push(c),
+/// Escapes `x` for HTML/SVG text and attribute contexts: the five
+/// XML-special characters of its `Display` output become entities as
+/// it is written.  This is the single audited escape helper of the
+/// reporting path — `ccs-report` re-exports it, and the
+/// `escaped-html-output` repo lint keeps every markup interpolation
+/// routed through it.
+///
+/// The adaptor allocates nothing: `write!(out, "<p>{}</p>", esc(x))`
+/// streams `x` into `out`, passing each run of safe text through in
+/// one `write_str`.  Escape composite text as one value with
+/// `esc(format_args!(..))`; call `.to_string()` where a `String` is
+/// really needed.
+pub fn esc<T: fmt::Display>(x: T) -> Esc<T> {
+    Esc(x)
+}
+
+/// The [`Display`](fmt::Display) adaptor [`esc`] returns.
+#[derive(Clone, Copy, Debug)]
+pub struct Esc<T>(T);
+
+impl<T: fmt::Display> fmt::Display for Esc<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(Escaper(f), "{}", self.0)
+    }
+}
+
+/// Forwards text to a formatter with the XML specials replaced.
+struct Escaper<'a, 'b>(&'a mut fmt::Formatter<'b>);
+
+impl fmt::Write for Escaper<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // The specials are ASCII, so every byte index found here is a
+        // char boundary of `s`.
+        let mut safe = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let entity = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                b'\'' => "&#39;",
+                _ => continue,
+            };
+            if safe < i {
+                self.0.write_str(&s[safe..i])?;
+            }
+            self.0.write_str(entity)?;
+            safe = i + 1;
+        }
+        if safe < s.len() {
+            self.0.write_str(&s[safe..])?;
+        }
+        Ok(())
+    }
+}
+
+/// Appends the decimal digits of `n` to `out`: the integer writer of
+/// the renderers' per-cell and per-link loops, where `write!`'s
+/// formatting machinery would cost more than the markup around it.
+/// Digits are never markup, so the output needs no escaping.
+pub fn push_uint(out: &mut String, n: impl Into<u64>) {
+    let mut n: u64 = n.into();
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
 }
 
 /// Sequential heat ramp (OrRd-style), dimmest to hottest; index 0 is
@@ -209,46 +272,26 @@ impl PanelGeometry {
     }
 }
 
-/// Renders one edge ledger and its link loads as an SVG heatmap: the
-/// PE-to-PE hop-weighted crossing-cost matrix (rows = source PE,
-/// columns = destination PE) plus one load bar per physical link.
+/// Appends one edge ledger and its link loads as an SVG heatmap to
+/// `out`: the PE-to-PE hop-weighted crossing-cost matrix (rows =
+/// source PE, columns = destination PE) plus one load bar per physical
+/// link.  This is the one heatmap renderer: the embedded per-pass,
+/// standalone, diff-side and sweep-grid panels differ only in `opts`.
 ///
 /// The `<svg>` element carries machine-readable conservation data:
 /// `data-ledger-total` (Σ hop·volume over crossing ledger rows) and
-/// `data-link-total` (Σ volume charged to links).  When `routable` is
-/// `true` the two are equal by construction — `report-check` verifies
-/// exactly that invariant on every embedded heatmap.  `standalone`
-/// adds the `xmlns` attribute so the file opens outside an HTML page.
-pub fn heatmap_svg_panel(
-    caption: &str,
-    pes: u32,
-    edges: &[EdgeTraffic],
-    links: &[LinkLoad],
-    routable: bool,
-    standalone: bool,
-) -> String {
-    heatmap_panel(
-        caption,
-        pes,
-        edges,
-        links,
-        PanelOptions {
-            routable,
-            standalone,
-            ..PanelOptions::default()
-        },
-    )
-}
-
-/// [`heatmap_svg_panel`] with full [`PanelOptions`]: diff-side and
-/// grid-cell markers, mini geometry.
+/// `data-link-total` (Σ volume charged to links).  When
+/// `opts.routable` is `true` the two are equal by construction —
+/// `report-check` verifies exactly that invariant on every embedded
+/// heatmap.
 pub fn heatmap_panel(
-    caption: &str,
+    out: &mut String,
+    caption: impl fmt::Display,
     pes: u32,
     edges: &[EdgeTraffic],
     links: &[LinkLoad],
     opts: PanelOptions<'_>,
-) -> String {
+) {
     let PanelOptions {
         routable,
         standalone,
@@ -280,31 +323,31 @@ pub fn heatmap_panel(
     let link_max = links.iter().map(|l| l.volume).max().unwrap_or(0);
 
     let (gc, gl, gt, gb, gr) = (geo.cell, geo.left, geo.top, geo.bar_w, geo.row_h);
-    let matrix_h = u32::try_from(n).unwrap_or(0) * gc;
+    let matrix_h = pes * gc;
     let links_h = u32::try_from(links.len()).unwrap_or(0) * gr;
     let links_top = gt + matrix_h + 24;
-    let width = (gl + u32::try_from(n).unwrap_or(0) * gc + 24)
-        .max(gl + 64 + gb + 72)
-        .max(geo.min_w);
+    let width = (gl + pes * gc + 24).max(gl + 64 + gb + 72).max(geo.min_w);
     let height = links_top + links_h + 16;
 
-    let mut out = String::new();
     let xmlns = if standalone {
         r#" xmlns="http://www.w3.org/2000/svg""#
     } else {
         ""
     };
     let class = if mini { "heatmap mini" } else { "heatmap" };
-    let mut marks = String::new();
+    let _ = write!(
+        out,
+        r#"<svg{xmlns} class="{class}" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}""#
+    );
     if let Some(s) = side {
-        let _ = write!(marks, r#" data-side="{}""#, esc(s));
+        let _ = write!(out, r#" data-side="{}""#, esc(s));
     }
     if let Some(c) = cell {
-        let _ = write!(marks, r#" data-cell="{}""#, esc(c));
+        let _ = write!(out, r#" data-cell="{}""#, esc(c));
     }
     let _ = writeln!(
         out,
-        r#"<svg{xmlns} class="{class}" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}"{marks} data-routable="{routable}" data-ledger-total="{ledger_total}" data-link-total="{link_total}" role="img">"#
+        r#" data-routable="{routable}" data-ledger-total="{ledger_total}" data-link-total="{link_total}" role="img">"#
     );
     let (tf, sf) = if mini { (10, 8) } else { (12, 10) };
     let _ = writeln!(
@@ -319,33 +362,45 @@ pub fn heatmap_panel(
 
     // Matrix: column labels, row labels, one rect per cell with a
     // hover title naming the (src, dst) pair and its cost.
-    for d in 0..n {
-        let x = gl + u32::try_from(d).unwrap_or(0) * gc + gc / 2;
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="middle">{}</text>"#,
-            esc(&format!("{}", d + 1)),
-            y = gt - 4
-        );
+    // ESCAPED: the loops below write fixed markup around integers
+    // (coordinates, PE numbers, costs); digits cannot carry markup, and
+    // the titles' one special character is written as `-&gt;`.
+    for d in 0..pes {
+        out.push_str(r#"  <text class="hm-s" x=""#);
+        push_uint(out, gl + d * gc + gc / 2);
+        out.push_str(r#"" y=""#);
+        push_uint(out, gt - 4);
+        out.push_str(r#"" text-anchor="middle">"#);
+        push_uint(out, d + 1);
+        out.push_str("</text>\n");
     }
-    for s in 0..n {
-        let y = gt + u32::try_from(s).unwrap_or(0) * gc + gc / 2 + 4;
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}", s + 1)),
-            x = gl - 4
-        );
-        for d in 0..n {
-            let v = cells[s * n + d];
-            let x = gl + u32::try_from(d).unwrap_or(0) * gc;
-            let yy = gt + u32::try_from(s).unwrap_or(0) * gc;
-            let _ = writeln!(
-                out,
-                r#"  <rect class="hm-c" x="{x}" y="{yy}" width="{gc}" height="{gc}" fill="{fill}"><title>{}</title></rect>"#,
-                esc(&format!("PE{} -> PE{}: cost {v}", s + 1, d + 1)),
-                fill = heat_color(v, cell_max)
-            );
+    for s in 0..pes {
+        out.push_str(r#"  <text class="hm-s" x=""#);
+        push_uint(out, gl - 4);
+        out.push_str(r#"" y=""#);
+        push_uint(out, gt + s * gc + gc / 2 + 4);
+        out.push_str(r#"" text-anchor="end">PE"#);
+        push_uint(out, s + 1);
+        out.push_str("</text>\n");
+        let row = &cells[s as usize * n..][..n];
+        for (d, &v) in (0..pes).zip(row) {
+            out.push_str(r#"  <rect class="hm-c" x=""#);
+            push_uint(out, gl + d * gc);
+            out.push_str(r#"" y=""#);
+            push_uint(out, gt + s * gc);
+            out.push_str(r#"" width=""#);
+            push_uint(out, gc);
+            out.push_str(r#"" height=""#);
+            push_uint(out, gc);
+            out.push_str(r#"" fill=""#);
+            out.push_str(heat_color(v, cell_max));
+            out.push_str(r#""><title>PE"#);
+            push_uint(out, s + 1);
+            out.push_str(" -&gt; PE");
+            push_uint(out, d + 1);
+            out.push_str(": cost ");
+            push_uint(out, v);
+            out.push_str("</title></rect>\n");
         }
     }
     if cell_max > 0 {
@@ -353,55 +408,63 @@ pub fn heatmap_panel(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{gl}" y="{y}">{}</text>"#,
-            esc(&format!("matrix scale: 0 .. {cell_max}"))
+            esc(format_args!("matrix scale: 0 .. {cell_max}"))
         );
     }
 
     // Per-link load bars, scaled to the hottest link.
-    for (i, l) in links.iter().enumerate() {
-        let y = links_top + u32::try_from(i).unwrap_or(0) * gr;
+    // ESCAPED: fixed markup around integers (coordinates, PE numbers,
+    // volumes, message counts); digits cannot carry markup.
+    for (i, l) in (0u32..).zip(links) {
+        let y = links_top + i * gr;
         let filled = if link_max == 0 || l.volume == 0 {
             0
         } else {
             let w = l.volume.saturating_mul(u64::from(gb)) / link_max;
             u32::try_from(w).unwrap_or(gb).clamp(2, gb)
         };
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{gl}" y="{ty}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}-PE{}", l.a + 1, l.b + 1)),
-            ty = y + 11
-        );
-        let _ = writeln!(
-            out,
-            r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="{bh}" fill="{fill}"><title>{}</title></rect>"#,
-            esc(&format!(
-                "link PE{}-PE{}: volume {}, {} message(s)",
-                l.a + 1,
-                l.b + 1,
-                l.volume,
-                l.messages
-            )),
-            bx = gl + 8,
-            ry = y + 3,
-            bw = filled.max(1),
-            bh = gr.saturating_sub(6).max(4),
-            fill = if l.volume == 0 {
-                "#eee"
-            } else {
-                heat_color(l.volume, link_max)
-            }
-        );
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{}", l.volume)),
-            tx = gl + 8 + gb + 8,
-            ty = y + 11
-        );
+        let fill = if l.volume == 0 {
+            "#eee"
+        } else {
+            heat_color(l.volume, link_max)
+        };
+        out.push_str(r#"  <text class="hm-s" x=""#);
+        push_uint(out, gl);
+        out.push_str(r#"" y=""#);
+        push_uint(out, y + 11);
+        out.push_str(r#"" text-anchor="end">PE"#);
+        push_uint(out, l.a + 1);
+        out.push_str("-PE");
+        push_uint(out, l.b + 1);
+        out.push_str("</text>\n");
+        out.push_str(r#"  <rect x=""#);
+        push_uint(out, gl + 8);
+        out.push_str(r#"" y=""#);
+        push_uint(out, y + 3);
+        out.push_str(r#"" width=""#);
+        push_uint(out, filled.max(1));
+        out.push_str(r#"" height=""#);
+        push_uint(out, gr.saturating_sub(6).max(4));
+        out.push_str(r#"" fill=""#);
+        out.push_str(fill);
+        out.push_str(r#""><title>link PE"#);
+        push_uint(out, l.a + 1);
+        out.push_str("-PE");
+        push_uint(out, l.b + 1);
+        out.push_str(": volume ");
+        push_uint(out, l.volume);
+        out.push_str(", ");
+        push_uint(out, l.messages);
+        out.push_str(" message(s)</title></rect>\n");
+        out.push_str(r#"  <text class="hm-s" x=""#);
+        push_uint(out, gl + 8 + gb + 8);
+        out.push_str(r#"" y=""#);
+        push_uint(out, y + 11);
+        out.push_str(r#"">"#);
+        push_uint(out, l.volume);
+        out.push_str("</text>\n");
     }
     out.push_str("</svg>\n");
-    out
 }
 
 /// Diverging ramp for signed deltas: index 0 is zero, higher indices
@@ -465,7 +528,8 @@ fn link_deltas(before: &[LinkLoad], after: &[LinkLoad]) -> Vec<LinkDelta> {
     rows
 }
 
-/// Renders the signed traffic shift between two edge ledgers as an SVG:
+/// Appends the signed traffic shift between two edge ledgers as an SVG
+/// to `out`:
 /// a PE-to-PE matrix of `Δcost = cost_B - cost_A` on a diverging ramp
 /// (blues = traffic removed, reds = added), plus one signed bar per
 /// physical link of either machine (links only one side has charge
@@ -473,13 +537,14 @@ fn link_deltas(before: &[LinkLoad], after: &[LinkLoad]) -> Vec<LinkDelta> {
 /// marked `data-side="delta"` and carries no conservation totals (a
 /// signed difference conserves nothing).
 pub fn delta_heatmap_svg(
+    out: &mut String,
     caption: &str,
     pes: u32,
     before: &[EdgeTraffic],
     after: &[EdgeTraffic],
     before_links: &[LinkLoad],
     after_links: &[LinkLoad],
-) -> String {
+) {
     let n = pes as usize;
     let mut cells = vec![0i64; n * n];
     let charge = |cells: &mut Vec<i64>, edges: &[EdgeTraffic], sign: i64| {
@@ -510,7 +575,6 @@ pub fn delta_heatmap_svg(
         .max(360);
     let height = links_top + links_h + 16;
 
-    let mut out = String::new();
     let _ = writeln!(
         out,
         r#"<svg class="heatmap delta" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}" data-side="delta" data-routable="false" role="img">"#
@@ -529,7 +593,7 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="middle">{}</text>"#,
-            esc(&format!("{}", d + 1)),
+            esc(d + 1),
             y = TOP - 4
         );
     }
@@ -538,7 +602,7 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}", s + 1)),
+            esc(format_args!("PE{}", s + 1)),
             x = LEFT - 4
         );
         for d in 0..n {
@@ -548,7 +612,7 @@ pub fn delta_heatmap_svg(
             let _ = writeln!(
                 out,
                 r#"  <rect class="hm-c" x="{x}" y="{yy}" width="{CELL}" height="{CELL}" fill="{fill}"><title>{}</title></rect>"#,
-                esc(&format!("PE{} -> PE{}: delta {v:+}", s + 1, d + 1)),
+                esc(format_args!("PE{} -> PE{}: delta {v:+}", s + 1, d + 1)),
                 fill = div_color(v, cell_max)
             );
         }
@@ -558,7 +622,7 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{LEFT}" y="{y}">{}</text>"#,
-            esc(&format!("delta scale: -{cell_max} .. +{cell_max}"))
+            esc(format_args!("delta scale: -{cell_max} .. +{cell_max}"))
         );
     }
     for (i, r) in rows.iter().enumerate() {
@@ -572,13 +636,13 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{LEFT}" y="{ty}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}-PE{}", r.a + 1, r.b + 1)),
+            esc(format_args!("PE{}-PE{}", r.a + 1, r.b + 1)),
             ty = y + 11
         );
         let _ = writeln!(
             out,
             r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="10" fill="{fill}"><title>{}</title></rect>"#,
-            esc(&format!(
+            esc(format_args!(
                 "link PE{}-PE{} ({}): volume delta {:+}",
                 r.a + 1,
                 r.b + 1,
@@ -597,29 +661,89 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{:+} ({})", r.delta, r.tag)),
+            esc(format_args!("{:+} ({})", r.delta, r.tag)),
             tx = LEFT + 8 + BAR_W + 8,
             ty = y + 11
         );
     }
     out.push_str("</svg>\n");
-    out
 }
 
-/// The profile's final best-schedule heatmap as a standalone SVG
-/// document (`cyclosched schedule --heatmap-svg FILE`).  `routable`
-/// comes from [`crate::routable`] on the machine the run targeted.
-pub fn heatmap_svg(p: &CommProfile, routable: bool) -> String {
-    let caption = format!(
-        "{} — final best schedule: comm {} / compute {}, length {} -> {}",
-        p.machine, p.total_comm, p.compute, p.initial_length, p.best_length
+/// Appends the profile's final best-schedule heatmap to `out` as a
+/// standalone SVG document (`cyclosched schedule --heatmap-svg FILE`).
+/// `routable` comes from [`crate::routable`] on the machine the run
+/// targeted.
+pub fn heatmap_svg(out: &mut String, p: &CommProfile, routable: bool) {
+    heatmap_panel(
+        out,
+        format_args!(
+            "{} — final best schedule: comm {} / compute {}, length {} -> {}",
+            p.machine, p.total_comm, p.compute, p.initial_length, p.best_length
+        ),
+        p.pes,
+        &p.edges,
+        &p.links,
+        PanelOptions {
+            routable,
+            standalone: true,
+            ..PanelOptions::default()
+        },
     );
-    heatmap_svg_panel(&caption, p.pes, &p.edges, &p.links, routable, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-streaming `esc`: the oracle the adaptor must match.
+    fn esc_oracle(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                '\'' => out.push_str("&#39;"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn svg(p: &CommProfile, routable: bool) -> String {
+        let mut out = String::new();
+        heatmap_svg(&mut out, p, routable);
+        out
+    }
+
+    fn panel(caption: &str, p: &CommProfile, opts: PanelOptions<'_>) -> String {
+        let mut out = String::new();
+        heatmap_panel(&mut out, caption, p.pes, &p.edges, &p.links, opts);
+        out
+    }
+
+    fn delta(
+        caption: &str,
+        pes: u32,
+        before: &[EdgeTraffic],
+        after: &[EdgeTraffic],
+        before_links: &[LinkLoad],
+        after_links: &[LinkLoad],
+    ) -> String {
+        let mut out = String::new();
+        delta_heatmap_svg(
+            &mut out,
+            caption,
+            pes,
+            before,
+            after,
+            before_links,
+            after_links,
+        );
+        out
+    }
 
     fn profile() -> CommProfile {
         CommProfile {
@@ -695,16 +819,57 @@ mod tests {
 
     #[test]
     fn esc_covers_all_specials_and_passes_plain_text() {
-        assert_eq!(esc("a<b>&\"c'"), "a&lt;b&gt;&amp;&quot;c&#39;");
-        assert_eq!(esc("Mesh 2x2"), "Mesh 2x2");
-        assert_eq!(esc(""), "");
+        assert_eq!(esc("a<b>&\"c'").to_string(), "a&lt;b&gt;&amp;&quot;c&#39;");
+        assert_eq!(esc("Mesh 2x2").to_string(), "Mesh 2x2");
+        assert_eq!(esc("").to_string(), "");
+        assert_eq!(esc(42u32).to_string(), "42");
+        assert_eq!(
+            esc(format_args!("{} -> {}", "<a>", 'b')).to_string(),
+            "&lt;a&gt; -&gt; b"
+        );
+    }
+
+    /// Unicode text rich in the five specials.
+    fn arb_text() -> BoxedStrategy<String> {
+        let ch = prop_oneof![
+            (0usize..5).prop_map(|i| ['&', '<', '>', '"', '\''][i]),
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap_or('?')),
+            (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ];
+        proptest::collection::vec(ch, 0..24).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn esc_matches_the_allocating_oracle(a in arb_text(), b in arb_text(), c in arb_text()) {
+            prop_assert_eq!(esc(a.as_str()).to_string(), esc_oracle(&a));
+            // Several arguments reach the adaptor as several
+            // `write_str` chunks, literal pieces included.
+            let joined = format!("{a}<{b}&{c}");
+            prop_assert_eq!(
+                esc(format_args!("{a}<{b}&{c}")).to_string(),
+                esc_oracle(&joined)
+            );
+            let mut out = String::from("<p>");
+            let _ = write!(out, "{}</p>", esc(format_args!("{a}{b}{c}")));
+            prop_assert_eq!(out, format!("<p>{}</p>", esc_oracle(&format!("{a}{b}{c}"))));
+        }
+    }
+
+    #[test]
+    fn push_uint_matches_display() {
+        for n in [0, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            let mut out = String::from("x");
+            push_uint(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]
     fn heatmap_svg_is_deterministic_and_carries_conservation_data() {
         let p = profile();
-        let a = heatmap_svg(&p, true);
-        assert_eq!(a, heatmap_svg(&p, true));
+        let a = svg(&p, true);
+        assert_eq!(a, svg(&p, true));
         assert!(a.starts_with("<svg"), "{a}");
         assert!(a.trim_end().ends_with("</svg>"), "{a}");
         assert!(a.contains(r#"xmlns="http://www.w3.org/2000/svg""#));
@@ -720,15 +885,15 @@ mod tests {
     fn heatmap_svg_escapes_hostile_captions() {
         let mut p = profile();
         p.machine = "<script>alert('x')&\"".to_string();
-        let svg = heatmap_svg(&p, true);
+        let svg = svg(&p, true);
         assert!(!svg.contains("<script"), "{svg}");
         assert!(svg.contains("&lt;script&gt;"), "{svg}");
     }
 
     #[test]
-    fn heatmap_svg_panel_embeds_without_xmlns() {
+    fn heatmap_panel_embeds_without_xmlns() {
         let p = profile();
-        let svg = heatmap_svg_panel("pass 1", p.pes, &p.edges, &p.links, false, false);
+        let svg = panel("pass 1", &p, PanelOptions::default());
         assert!(svg.starts_with("<svg class="), "{svg}");
         assert!(!svg.contains("xmlns"), "{svg}");
         assert!(svg.contains(r#"data-routable="false""#), "{svg}");
@@ -737,7 +902,7 @@ mod tests {
     #[test]
     fn heatmap_svg_viewbox_matches_dimensions() {
         let p = profile();
-        let svg = heatmap_svg(&p, true);
+        let svg = svg(&p, true);
         let wh = svg
             .split_once(r#"width=""#)
             .and_then(|(_, r)| r.split_once('"'))
@@ -749,11 +914,9 @@ mod tests {
     #[test]
     fn panel_options_tag_side_and_cell_escaped() {
         let p = profile();
-        let svg = heatmap_panel(
+        let svg = panel(
             "cap",
-            p.pes,
-            &p.edges,
-            &p.links,
+            &p,
             PanelOptions {
                 routable: true,
                 side: Some("a"),
@@ -769,12 +932,10 @@ mod tests {
     #[test]
     fn mini_panel_is_smaller_than_full_panel() {
         let p = profile();
-        let full = heatmap_panel("cap", p.pes, &p.edges, &p.links, PanelOptions::default());
-        let mini = heatmap_panel(
+        let full = panel("cap", &p, PanelOptions::default());
+        let mini = panel(
             "cap",
-            p.pes,
-            &p.edges,
-            &p.links,
+            &p,
             PanelOptions {
                 mini: true,
                 ..PanelOptions::default()
@@ -790,11 +951,9 @@ mod tests {
         assert!(mini.contains(r#"class="heatmap mini""#), "{mini}");
         assert_eq!(mini, {
             let p = profile();
-            heatmap_panel(
+            panel(
                 "cap",
-                p.pes,
-                &p.edges,
-                &p.links,
+                &p,
                 PanelOptions {
                     mini: true,
                     ..PanelOptions::default()
@@ -816,7 +975,7 @@ mod tests {
             volume: 3,
             messages: 1,
         }];
-        let svg = delta_heatmap_svg("A vs B", p.pes, &p.edges, &after, &p.links, &after_links);
+        let svg = delta("A vs B", p.pes, &p.edges, &after, &p.links, &after_links);
         assert!(svg.starts_with("<svg class=\"heatmap delta\""), "{svg}");
         assert!(svg.contains(r#"data-side="delta""#), "{svg}");
         assert!(svg.contains(r#"data-routable="false""#), "{svg}");
@@ -840,14 +999,14 @@ mod tests {
         assert!(svg.contains(&format!(r#"viewBox="0 0 {wh} "#)), "{svg}");
         assert_eq!(
             svg,
-            delta_heatmap_svg("A vs B", p.pes, &p.edges, &after, &p.links, &after_links)
+            delta("A vs B", p.pes, &p.edges, &after, &p.links, &after_links)
         );
     }
 
     #[test]
     fn delta_heatmap_of_identical_sides_is_all_zero() {
         let p = profile();
-        let svg = delta_heatmap_svg("same", p.pes, &p.edges, &p.edges, &p.links, &p.links);
+        let svg = delta("same", p.pes, &p.edges, &p.edges, &p.links, &p.links);
         assert!(!svg.contains("delta scale"), "{svg}");
         assert!(svg.contains("delta +0"), "{svg}");
     }

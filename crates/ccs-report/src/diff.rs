@@ -23,7 +23,7 @@
 
 use crate::fold::{self, RunStory};
 use crate::html::{self, esc};
-use crate::{gantt_svg, ledger_comm, names_of, phase_label, Bar, DIFF_TOP_K};
+use crate::{gantt_svg, ledger_comm, names_of, Bar, Phase, DIFF_TOP_K};
 use ccs_bounds::OptimalityReport;
 use ccs_profile::render::{delta_heatmap_svg, heatmap_panel, PanelOptions};
 use ccs_profile::{diff_ledgers, one_sided_edges, routable, route_label, CommProfile, EdgeTraffic};
@@ -76,40 +76,32 @@ fn divergence_pass(a: &RunStory, b: &RunStory) -> Option<u32> {
 /// One side's column of the schedule panel: the start-up Gantt plus a
 /// pass-outcome table with rows highlighted from the divergence point.
 fn side_schedule(
+    out: &mut String,
     side: &DiffSide<'_>,
     story: &RunStory,
     diverge: Option<u32>,
     mut name: impl FnMut(u32) -> String,
-) -> String {
-    let mut out = String::new();
+) {
     let _ = writeln!(out, "<h3>{}</h3>", esc(side.label));
-    let bars: Vec<Bar> = story
+    let bars: Vec<Bar<'_>> = story
         .startup
         .iter()
-        .map(|s| {
-            let n = name(s.node);
-            Bar {
-                pe: s.pe,
-                cs: s.cs,
-                duration: s.duration,
-                rotated: false,
-                title: format!(
-                    "{} -> PE{}, cs {}..{}",
-                    n,
-                    s.pe + 1,
-                    s.cs,
-                    s.cs + s.duration
-                ),
-                label: n,
-            }
+        .map(|s| Bar {
+            pe: s.pe,
+            cs: s.cs,
+            duration: s.duration,
+            rotated: false,
+            label: name(s.node),
+            remap: None,
         })
         .collect();
-    out.push_str(&gantt_svg(
-        &format!("start-up (pass 0): length {}", story.startup_length),
+    gantt_svg(
+        out,
+        format_args!("start-up (pass 0): length {}", story.startup_length),
         story.pes,
         story.startup_length,
         &bars,
-    ));
+    );
     out.push_str(
         "<table>\n<thead><tr><th>pass</th><th class=\"l\">outcome</th><th>length</th>\
          <th class=\"l\">rotated J</th></tr></thead>\n<tbody>\n",
@@ -129,51 +121,50 @@ fn side_schedule(
             out,
             "<tr{cls}><td>{}</td><td class=\"l\">{outcome}</td><td>{}</td>\
              <td class=\"l\">{{{}}}</td></tr>",
-            esc(&p.pass.to_string()),
-            esc(&p.length.to_string()),
-            esc(&names_of(&p.rotated, &mut name))
+            esc(p.pass),
+            esc(p.length),
+            esc(names_of(&p.rotated, &mut name))
         );
     }
     out.push_str("</tbody>\n</table>\n");
     let _ = writeln!(
         out,
         "<p>best length {} after {} pass(es)</p>",
-        esc(&story.best_length.to_string()),
-        esc(&story.passes_run.to_string())
+        esc(story.best_length),
+        esc(story.passes_run)
     );
-    out
 }
 
 fn schedule_section(
+    out: &mut String,
     input: &DiffInput<'_>,
     sa: &RunStory,
     sb: &RunStory,
     mut name: impl FnMut(u32) -> String,
-) -> String {
+) {
     let diverge = divergence_pass(sa, sb);
-    let mut out = String::new();
     match diverge {
         Some(d) => {
             let _ = writeln!(
                 out,
                 "<p>runs diverge at {}: first pass whose rotation set differs \
                  (highlighted below)</p>",
-                esc(&phase_label(d))
+                esc(Phase(d))
             );
         }
         None => out.push_str("<p>the runs rotate identical node sets in every pass</p>\n"),
     }
     out.push_str("<div class=\"cols\">\n<div class=\"col\">\n");
-    out.push_str(&side_schedule(&input.a, sa, diverge, &mut name));
+    side_schedule(out, &input.a, sa, diverge, &mut name);
     out.push_str("</div>\n<div class=\"col\">\n");
-    out.push_str(&side_schedule(&input.b, sb, diverge, &mut name));
+    side_schedule(out, &input.b, sb, diverge, &mut name);
     out.push_str("</div>\n</div>\n");
-    out
 }
 
-fn side_heatmap(side: &DiffSide<'_>, tag: &str) -> String {
+fn side_heatmap(out: &mut String, side: &DiffSide<'_>, tag: &str) {
     heatmap_panel(
-        &format!(
+        out,
+        format_args!(
             "{} — final best schedule: comm {}, length {} -> {}",
             side.label,
             side.profile.total_comm,
@@ -188,25 +179,24 @@ fn side_heatmap(side: &DiffSide<'_>, tag: &str) -> String {
             side: Some(tag),
             ..PanelOptions::default()
         },
-    )
+    );
 }
 
-fn heatmaps_section(input: &DiffInput<'_>) -> String {
-    let mut out = String::new();
+fn heatmaps_section(out: &mut String, input: &DiffInput<'_>) {
     out.push_str("<div class=\"cols\">\n<div class=\"col\">\n");
-    out.push_str(&side_heatmap(&input.a, "a"));
+    side_heatmap(out, &input.a, "a");
     out.push_str("</div>\n<div class=\"col\">\n");
-    out.push_str(&side_heatmap(&input.b, "b"));
+    side_heatmap(out, &input.b, "b");
     out.push_str("</div>\n</div>\n");
-    out.push_str(&delta_heatmap_svg(
+    delta_heatmap_svg(
+        out,
         "link-load delta (B minus A)",
         input.a.profile.pes.max(input.b.profile.pes),
         &input.a.profile.edges,
         &input.b.profile.edges,
         &input.a.profile.links,
         &input.b.profile.links,
-    ));
-    out
+    );
 }
 
 fn one_sided_list(out: &mut String, label: &str, edges: &[EdgeTraffic]) {
@@ -221,11 +211,11 @@ fn one_sided_list(out: &mut String, label: &str, edges: &[EdgeTraffic]) {
         out,
         "<p>{} only: {} — no counterpart to diff against</p>",
         esc(label),
-        esc(&rows.join(", "))
+        esc(rows.join(", "))
     );
 }
 
-fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) -> String {
+fn ledger_section(out: &mut String, input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) {
     let (ea, eb) = (&input.a.profile.edges, &input.b.profile.edges);
     let deltas = diff_ledgers(ea, eb);
     let (lone_a, lone_b) = one_sided_edges(ea, eb);
@@ -234,14 +224,13 @@ fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) ->
     let (ca, cb) = (ledger_comm(ea), ledger_comm(eb));
     let shift = i64::try_from(cb).unwrap_or(i64::MAX) - i64::try_from(ca).unwrap_or(i64::MAX);
 
-    let mut out = String::new();
     let _ = writeln!(
         out,
         "<p>final best-schedule comm: A {} / B {} ({}), {} shared edge(s) moved</p>",
-        esc(&ca.to_string()),
-        esc(&cb.to_string()),
-        esc(&format!("{shift:+}")),
-        esc(&deltas.len().to_string())
+        esc(ca),
+        esc(cb),
+        esc(format_args!("{shift:+}")),
+        esc(deltas.len())
     );
     out.push_str(
         "<table>\n<thead><tr><th class=\"l\">edge</th><th class=\"l\">route A</th>\
@@ -259,17 +248,17 @@ fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) ->
             out,
             "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td><td>{}</td>\
              <td class=\"l\">{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&format!(
+            esc(format_args!(
                 "e{} {}->{}",
                 d.after.edge,
                 name(d.after.src),
                 name(d.after.dst)
             )),
-            esc(&route_label(routes_a.as_ref(), &d.before)),
-            esc(&d.before.cost().to_string()),
-            esc(&route_label(routes_b.as_ref(), &d.after)),
-            esc(&d.after.cost().to_string()),
-            esc(&format!("{:+}", d.delta()))
+            esc(route_label(routes_a.as_ref(), &d.before)),
+            esc(d.before.cost()),
+            esc(route_label(routes_b.as_ref(), &d.after)),
+            esc(d.after.cost()),
+            esc(format_args!("{:+}", d.delta()))
         );
     }
     out.push_str("</tbody>\n</table>\n");
@@ -277,12 +266,11 @@ fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) ->
         let _ = writeln!(
             out,
             "<p>({} more changed edge(s) not shown)</p>",
-            esc(&(deltas.len() - DIFF_TOP_K).to_string())
+            esc(deltas.len() - DIFF_TOP_K)
         );
     }
-    one_sided_list(&mut out, "A", &lone_a);
-    one_sided_list(&mut out, "B", &lone_b);
-    out
+    one_sided_list(out, "A", &lone_a);
+    one_sided_list(out, "B", &lone_b);
 }
 
 fn cert_cell(c: Option<&OptimalityReport>) -> [String; 5] {
@@ -298,11 +286,10 @@ fn cert_cell(c: Option<&OptimalityReport>) -> [String; 5] {
     }
 }
 
-fn certificate_section(input: &DiffInput<'_>) -> String {
-    let mut out = String::new();
+fn certificate_section(out: &mut String, input: &DiffInput<'_>) {
     if input.a.certificate.is_none() && input.b.certificate.is_none() {
         out.push_str("<p>no certificate was computed for either run</p>\n");
-        return out;
+        return;
     }
     let a = cert_cell(input.a.certificate);
     let b = cert_cell(input.b.certificate);
@@ -324,7 +311,6 @@ fn certificate_section(input: &DiffInput<'_>) -> String {
         );
     }
     out.push_str("</tbody>\n</table>\n");
-    out
 }
 
 /// Renders the complete two-run comparison document.  `name` resolves
@@ -333,39 +319,48 @@ fn certificate_section(input: &DiffInput<'_>) -> String {
 pub fn render_diff_report(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) -> String {
     let sa = fold::fold(input.a.events);
     let sb = fold::fold(input.b.events);
-    let meta = format!(
-        "A = {} ({}): best {}; B = {} ({}): best {} — {} task(s)",
-        input.a.label,
-        input.a.machine.name(),
-        sa.best_length,
-        input.b.label,
-        input.b.machine.name(),
-        sb.best_length,
-        sa.tasks
+    let mut out = String::new();
+    html::document(
+        &mut out,
+        input.title,
+        format_args!(
+            "A = {} ({}): best {}; B = {} ({}): best {} — {} task(s)",
+            input.a.label,
+            input.a.machine.name(),
+            sa.best_length,
+            input.b.label,
+            input.b.machine.name(),
+            sb.best_length,
+            sa.tasks
+        ),
+        |out| {
+            html::section(
+                out,
+                "schedule",
+                "Schedule: start-up placements and pass outcomes, side by side",
+                |out| schedule_section(out, input, &sa, &sb, &mut name),
+            );
+            html::section(
+                out,
+                "heatmaps",
+                "Link-load heatmaps: final best schedules and their delta",
+                |out| heatmaps_section(out, input),
+            );
+            html::section(
+                out,
+                "ledger",
+                "Edge-ledger delta: top movers between the runs",
+                |out| ledger_section(out, input, &mut name),
+            );
+            html::section(
+                out,
+                "certificate",
+                "Optimality certificates, graded side by side",
+                |out| certificate_section(out, input),
+            );
+        },
     );
-    let sections = [
-        (
-            "schedule",
-            "Schedule: start-up placements and pass outcomes, side by side",
-            schedule_section(input, &sa, &sb, &mut name),
-        ),
-        (
-            "heatmaps",
-            "Link-load heatmaps: final best schedules and their delta",
-            heatmaps_section(input),
-        ),
-        (
-            "ledger",
-            "Edge-ledger delta: top movers between the runs",
-            ledger_section(input, &mut name),
-        ),
-        (
-            "certificate",
-            "Optimality certificates, graded side by side",
-            certificate_section(input),
-        ),
-    ];
-    html::document(input.title, &meta, &sections)
+    out
 }
 
 #[cfg(test)]

@@ -78,13 +78,12 @@ fn gap_bucket(gap_pct: f64) -> (&'static str, &'static str) {
     (last.1, last.2)
 }
 
-/// The legend SVG: one swatch per gap bucket, carrying the page's
-/// declared cell count in `data-grid-cells`.
-fn legend_svg(cells: usize) -> String {
+/// Appends the legend SVG: one swatch per gap bucket, carrying the
+/// page's declared cell count in `data-grid-cells`.
+fn legend_svg(out: &mut String, cells: usize) {
     let (sw, row_h, left) = (18u32, 20u32, 8u32);
     let width = 240u32;
     let height = 24 + row_h * u32::try_from(GAP_RAMP.len()).unwrap_or(5) + 4;
-    let mut out = String::new();
     let _ = writeln!(
         out,
         r#"<svg class="grid-legend" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-grid-cells="{cells}" role="img">"#
@@ -96,7 +95,9 @@ fn legend_svg(cells: usize) -> String {
     let _ = writeln!(
         out,
         r#"  <text class="gl-t" x="4" y="15">{}</text>"#,
-        esc(&format!("tile color = optimality gap ({cells} cell(s))"))
+        esc(format_args!(
+            "tile color = optimality gap ({cells} cell(s))"
+        ))
     );
     for (i, (_, color, label)) in GAP_RAMP.iter().enumerate() {
         let y = 22 + row_h * u32::try_from(i).unwrap_or(0);
@@ -113,10 +114,9 @@ fn legend_svg(cells: usize) -> String {
         );
     }
     out.push_str("</svg>\n");
-    out
 }
 
-fn tile(cell: &GridCellView) -> String {
+fn tile(out: &mut String, cell: &GridCellView) {
     let (color, bucket) = gap_bucket(cell.gap_pct);
     let counters: Vec<String> = cell
         .counters
@@ -136,48 +136,55 @@ fn tile(cell: &GridCellView) -> String {
             counters.join("\n")
         }
     );
-    let mut out = String::new();
+    let id = cell.id();
     let _ = writeln!(out, r#"<div class="tile" title="{}">"#, esc(&title));
-    let _ = writeln!(out, r#"<p class="tile-head">{}</p>"#, esc(&cell.id()));
+    let _ = writeln!(out, r#"<p class="tile-head">{}</p>"#, esc(&id));
     let _ = writeln!(
         out,
         r#"<p class="tile-gap" style="background:{color}">{}</p>"#,
-        esc(&format!(
+        esc(format_args!(
             "best {} vs floor {} — gap {} ({:.1}%), {}",
             cell.best, cell.bound, cell.gap, cell.gap_pct, bucket
         ))
     );
-    out.push_str(&heatmap_panel(
-        &format!("best schedule: comm over {} link(s)", cell.links.len()),
+    heatmap_panel(
+        out,
+        format_args!("best schedule: comm over {} link(s)", cell.links.len()),
         cell.pes,
         &cell.edges,
         &cell.links,
         PanelOptions {
             routable: cell.routable,
-            cell: Some(&cell.id()),
+            cell: Some(&id),
             mini: true,
             ..PanelOptions::default()
         },
-    ));
+    );
     out.push_str("</div>\n");
-    out
 }
 
 /// Renders the sweep dashboard: a legend section and one tile per
 /// metered cell, in the sweep's own (row-major, deterministic) order.
 pub fn render_grid_report(title: &str, cells: &[GridCellView]) -> String {
-    let meta = format!("{} metered cell(s); tiles in sweep order", cells.len());
-    let mut grid = String::new();
-    grid.push_str("<div class=\"grid\">\n");
-    for c in cells {
-        grid.push_str(&tile(c));
-    }
-    grid.push_str("</div>\n");
-    let sections = [
-        ("legend", "Legend: gap ramp", legend_svg(cells.len())),
-        ("grid", "Sweep grid: one tile per cell", grid),
-    ];
-    html::document(title, &meta, &sections)
+    let mut out = String::new();
+    html::document(
+        &mut out,
+        title,
+        format_args!("{} metered cell(s); tiles in sweep order", cells.len()),
+        |out| {
+            html::section(out, "legend", "Legend: gap ramp", |out| {
+                legend_svg(out, cells.len())
+            });
+            html::section(out, "grid", "Sweep grid: one tile per cell", |out| {
+                out.push_str("<div class=\"grid\">\n");
+                for c in cells {
+                    tile(out, c);
+                }
+                out.push_str("</div>\n");
+            });
+        },
+    );
+    out
 }
 
 #[cfg(test)]

@@ -1,13 +1,22 @@
 //! Document skeleton for the report: the (single, audited) escape
 //! helper, the embedded stylesheet, and the outer HTML shell.
 //!
+//! Pages stream into one caller-owned `String`: [`document`] writes
+//! the head, lets its `body` closure append each panel through
+//! [`section`], and closes the page, so no panel is rendered into a
+//! temporary first.
+//!
 //! Everything the report interpolates into content position must pass
 //! through [`esc`] — the `escaped-html-output` lint enforces exactly
 //! that over this crate, and `report-check` re-verifies the rendered
 //! artifact (every `<` opens a whitelisted tag, every `&` a known
-//! entity).
+//! entity).  The one exception is an integer written with
+//! [`push_uint`] in a hot loop, at a site marked `ESCAPED:` — digits
+//! cannot form markup.
 
-pub use ccs_profile::render::esc;
+use std::fmt::{self, Write as _};
+
+pub use ccs_profile::render::{esc, push_uint};
 
 /// The report's embedded stylesheet.  Plain ASCII, no `<` and no `&`,
 /// so it survives the `report-check` markup scan untouched.
@@ -43,14 +52,16 @@ div.tile p.tile-head{margin:0 0 4px;font:600 12px monospace}
 div.tile p.tile-gap{margin:0;font:11px monospace;color:#333;padding:1px 4px}
 ";
 
-/// Wraps the four panel bodies in the self-contained document shell.
-///
-/// `title` and `meta` are caller text and are escaped here; `sections`
-/// are pre-rendered `(id, heading, body)` triples whose bodies must
-/// already be fully escaped by their renderers.
-pub fn document(title: &str, meta: &str, sections: &[(&str, &str, String)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(16 * 1024);
+/// Appends the self-contained document shell to `out`: the head with
+/// the stylesheet, the title and meta line, then whatever `body`
+/// appends (its panels, each through [`section`]), then the closing
+/// tags.  `title` and `meta` are caller text and are escaped here.
+pub fn document(
+    out: &mut String,
+    title: &str,
+    meta: impl fmt::Display,
+    body: impl FnOnce(&mut String),
+) {
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
     let _ = writeln!(out, "<title>{}</title>", esc(title));
     out.push_str("<style>\n");
@@ -58,14 +69,17 @@ pub fn document(title: &str, meta: &str, sections: &[(&str, &str, String)]) -> S
     out.push_str("</style>\n</head>\n<body>\n");
     let _ = writeln!(out, "<h1>{}</h1>", esc(title));
     let _ = writeln!(out, "<p class=\"meta\">{}</p>", esc(meta));
-    for (id, heading, body) in sections {
-        let _ = writeln!(out, "<section id=\"{}\">", esc(id));
-        let _ = writeln!(out, "<h2>{}</h2>", esc(heading));
-        out.push_str(body);
-        out.push_str("</section>\n");
-    }
+    body(out);
     out.push_str("</body>\n</html>\n");
-    out
+}
+
+/// Appends one `<section>` panel to `out`: its id and heading, then
+/// the markup `body` appends, which its renderer must fully escape.
+pub fn section(out: &mut String, id: &str, heading: &str, body: impl FnOnce(&mut String)) {
+    let _ = writeln!(out, "<section id=\"{}\">", esc(id));
+    let _ = writeln!(out, "<h2>{}</h2>", esc(heading));
+    body(out);
+    out.push_str("</section>\n");
 }
 
 #[cfg(test)]
@@ -74,7 +88,8 @@ mod tests {
 
     #[test]
     fn document_escapes_title_and_meta() {
-        let html = document("<fig1> & friends", "2 < 3", &[]);
+        let mut html = String::new();
+        document(&mut html, "<fig1> & friends", "2 < 3", |_| {});
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.trim_end().ends_with("</html>"));
         assert!(html.contains("<title>&lt;fig1&gt; &amp; friends</title>"));
@@ -91,14 +106,15 @@ mod tests {
 
     #[test]
     fn sections_carry_ids_in_order() {
-        let html = document(
-            "t",
-            "m",
-            &[
-                ("schedule", "Schedule", "<p>a</p>\n".to_string()),
-                ("certificate", "Certificate", "<p>b</p>\n".to_string()),
-            ],
-        );
+        let mut html = String::new();
+        document(&mut html, "t", "m", |out| {
+            section(out, "schedule", "Schedule", |out| {
+                out.push_str("<p>a</p>\n")
+            });
+            section(out, "certificate", "Certificate", |out| {
+                out.push_str("<p>b</p>\n")
+            });
+        });
         let a = html.find("<section id=\"schedule\">").expect("schedule");
         let b = html
             .find("<section id=\"certificate\">")

@@ -18,10 +18,18 @@
 //! 4. `#certificate` — the schedule graded against the proven period
 //!    floors, witnesses inline.
 //!
+//! The page streams into one `String`, sized once from the run's
+//! content: every panel renderer appends to it (`&mut String` in,
+//! nothing out) through [`html::document`] and [`html::section`], and
+//! link loads for every accepted phase share one
+//! [`LinkRoutes`](ccs_profile::LinkRoutes) of the machine.
+//!
 //! Everything is a pure function of the inputs: no wall-clock content,
 //! no randomness, byte-identical across thread counts.  All dynamic
-//! text passes through the one audited [`html::esc`] helper; the
-//! rendered artifact is re-validated by `report-check`.
+//! text passes through the one audited [`html::esc`] adaptor, which
+//! escapes as it writes; the Gantt grid loops append integers with
+//! [`html::push_uint`] at sites marked `ESCAPED:` (digits cannot form
+//! markup).  The rendered artifact is re-validated by `report-check`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,14 +41,14 @@ pub mod grid;
 pub mod html;
 
 use ccs_bounds::{OptimalityReport, Verdict as BoundsVerdict, Witness};
-use ccs_profile::render::heatmap_svg_panel;
-use ccs_profile::{diff_ledgers, link_loads, routable, route_label, CommProfile, EdgeTraffic};
-use ccs_topology::{Machine, RoutingTable};
+use ccs_profile::render::{heatmap_panel, PanelOptions};
+use ccs_profile::{diff_ledgers, link_loads, route_label, CommProfile, EdgeTraffic, LinkRoutes};
+use ccs_topology::Machine;
 use ccs_trace::TimedEvent;
 use fold::{PassStory, Remap, RunStory};
-use html::esc;
+use html::{esc, push_uint};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Ledger-diff rows shown per pass in the trajectory panel.
 pub const DIFF_TOP_K: usize = 8;
@@ -66,20 +74,50 @@ const G_LEFT: u32 = 44;
 const G_TOP: u32 = 24;
 
 /// One bar of a Gantt strip.
-struct Bar {
+struct Bar<'a> {
     pe: u32,
     cs: u32,
     duration: u32,
     rotated: bool,
+    /// The node's name.
     label: String,
-    title: String,
+    /// The re-placement a pass strip draws; `None` for a start-up bar.
+    remap: Option<&'a Remap>,
 }
 
-fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar]) -> String {
+/// Appends a bar's hover title, escaped: a start-up bar names its
+/// slot, a pass bar its whole re-placement story.
+fn bar_title(out: &mut String, b: &Bar<'_>) {
+    if let Some(r) = b.remap {
+        remap_title(out, r, &b.label);
+        return;
+    }
+    let _ = write!(
+        out,
+        "{}",
+        esc(format_args!(
+            "{} -> PE{}, cs {}..{}",
+            b.label,
+            b.pe + 1,
+            b.cs,
+            b.cs + b.duration
+        ))
+    );
+    if b.rotated {
+        out.push_str("\nrotated during compaction");
+    }
+}
+
+fn gantt_svg(
+    out: &mut String,
+    caption: impl fmt::Display,
+    pes: u32,
+    length: u32,
+    bars: &[Bar<'_>],
+) {
     let length = length.max(1);
     let width = G_LEFT + length * CW + 8;
     let height = G_TOP + pes.max(1) * RH + 6;
-    let mut out = String::new();
     let _ = writeln!(
         out,
         "<svg class=\"gantt\" width=\"{width}\" height=\"{height}\" \
@@ -91,44 +129,50 @@ fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar]) -> String {
         esc(caption)
     );
     // Control-step grid and axis labels (thinned on long schedules).
+    // ESCAPED: the grid and axis loops write fixed markup around
+    // integers (coordinates, control steps, PE numbers); digits cannot
+    // carry markup.
     let tick = (length / 12).max(1);
     for cs in 0..=length {
         let x = G_LEFT + cs * CW;
-        let _ = writeln!(
-            out,
-            "<line class=\"g-grid\" x1=\"{x}\" y1=\"{G_TOP}\" x2=\"{x}\" y2=\"{}\"/>",
-            G_TOP + pes * RH
-        );
+        out.push_str("<line class=\"g-grid\" x1=\"");
+        push_uint(out, x);
+        out.push_str("\" y1=\"");
+        push_uint(out, G_TOP);
+        out.push_str("\" x2=\"");
+        push_uint(out, x);
+        out.push_str("\" y2=\"");
+        push_uint(out, G_TOP + pes * RH);
+        out.push_str("\"/>\n");
         if cs % tick == 0 && cs < length {
-            let _ = writeln!(
-                out,
-                "<text class=\"g-ax\" x=\"{}\" y=\"{}\">{}</text>",
-                x + 2,
-                G_TOP - 4,
-                esc(&cs.to_string())
-            );
+            out.push_str("<text class=\"g-ax\" x=\"");
+            push_uint(out, x + 2);
+            out.push_str("\" y=\"");
+            push_uint(out, G_TOP - 4);
+            out.push_str("\">");
+            push_uint(out, cs);
+            out.push_str("</text>\n");
         }
     }
     for pe in 0..pes {
-        let _ = writeln!(
-            out,
-            "<text class=\"g-ax\" x=\"2\" y=\"{}\">{}</text>",
-            G_TOP + pe * RH + 12,
-            esc(&format!("PE{}", pe + 1))
-        );
+        out.push_str("<text class=\"g-ax\" x=\"2\" y=\"");
+        push_uint(out, G_TOP + pe * RH + 12);
+        out.push_str("\">PE");
+        push_uint(out, pe + 1);
+        out.push_str("</text>\n");
     }
     for b in bars {
         let x = G_LEFT + b.cs * CW;
         let y = G_TOP + b.pe * RH + 2;
         let w = (b.duration.max(1) * CW).saturating_sub(1).max(2);
         let class = if b.rotated { "g-rot" } else { "g-rect" };
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "<rect class=\"{class}\" x=\"{x}\" y=\"{y}\" width=\"{w}\" height=\"{}\">\
-             <title>{}</title></rect>",
-            RH - 4,
-            esc(&b.title)
+            "<rect class=\"{class}\" x=\"{x}\" y=\"{y}\" width=\"{w}\" height=\"{}\"><title>",
+            RH - 4
         );
+        bar_title(out, b);
+        out.push_str("</title></rect>\n");
         if w >= 18 {
             let _ = writeln!(
                 out,
@@ -140,38 +184,44 @@ fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar]) -> String {
         }
     }
     out.push_str("</svg>\n");
-    out
 }
 
-fn remap_title(r: &Remap, mut name: impl FnMut(u32) -> String) -> String {
-    let mut t = format!(
-        "{} -> PE{}, cs {}..{} (target {}, impact {}, comm {})",
-        name(r.node),
-        r.pe + 1,
-        r.cs,
-        r.cs + r.duration,
-        r.target,
-        r.impact,
-        r.comm
+/// Appends the escaped hover title of one re-placement: the chosen
+/// slot, the runner-up, and the candidate scan's `AN`-window verdicts.
+fn remap_title(out: &mut String, r: &Remap, node: &str) {
+    let _ = write!(
+        out,
+        "{}",
+        esc(format_args!(
+            "{node} -> PE{}, cs {}..{} (target {}, impact {}, comm {})",
+            r.pe + 1,
+            r.cs,
+            r.cs + r.duration,
+            r.target,
+            r.impact,
+            r.comm
+        ))
     );
     if let Some(ru) = &r.runner_up {
-        let _ = write!(t, "\nrunner-up: {ru}");
+        let _ = write!(out, "{}", esc(format_args!("\nrunner-up: {ru}")));
     }
     if !r.candidates.is_empty() {
-        t.push_str("\ncandidate scan (AN windows):");
+        out.push_str("\ncandidate scan (AN windows):");
         for c in &r.candidates {
             let _ = write!(
-                t,
-                "\n  PE{}: window [{}, {}], comm {} -> {}",
-                c.pe + 1,
-                c.lb,
-                c.ub,
-                c.comm,
-                c.verdict
+                out,
+                "{}",
+                esc(format_args!(
+                    "\n  PE{}: window [{}, {}], comm {} -> {}",
+                    c.pe + 1,
+                    c.lb,
+                    c.ub,
+                    c.comm,
+                    c.verdict
+                ))
             );
         }
     }
-    t
 }
 
 fn names_of(nodes: &[u32], mut name: impl FnMut(u32) -> String) -> String {
@@ -179,67 +229,52 @@ fn names_of(nodes: &[u32], mut name: impl FnMut(u32) -> String) -> String {
     v.join(", ")
 }
 
-fn schedule_section(story: &RunStory, mut name: impl FnMut(u32) -> String) -> String {
-    let mut out = String::new();
+fn schedule_section(out: &mut String, story: &RunStory, mut name: impl FnMut(u32) -> String) {
     let rotated_ever: BTreeSet<u32> = story
         .passes
         .iter()
         .flat_map(|p| p.rotated.iter().copied())
         .collect();
-    let bars: Vec<Bar> = story
+    let bars: Vec<Bar<'_>> = story
         .startup
         .iter()
-        .map(|s| {
-            let n = name(s.node);
-            let mut title = format!(
-                "{} -> PE{}, cs {}..{}",
-                n,
-                s.pe + 1,
-                s.cs,
-                s.cs + s.duration
-            );
-            let rotated = rotated_ever.contains(&s.node);
-            if rotated {
-                title.push_str("\nrotated during compaction");
-            }
-            Bar {
-                pe: s.pe,
-                cs: s.cs,
-                duration: s.duration,
-                rotated,
-                label: n,
-                title,
-            }
+        .map(|s| Bar {
+            pe: s.pe,
+            cs: s.cs,
+            duration: s.duration,
+            rotated: rotated_ever.contains(&s.node),
+            label: name(s.node),
+            remap: None,
         })
         .collect();
-    out.push_str(&gantt_svg(
-        &format!(
+    gantt_svg(
+        out,
+        format_args!(
             "start-up schedule (pass 0): length {}",
             story.startup_length
         ),
         story.pes,
         story.startup_length,
         &bars,
-    ));
+    );
     for p in &story.passes {
         if p.accepted {
-            out.push_str(&pass_strip(p, story.pes, &mut name));
+            pass_strip(out, p, story.pes, &mut name);
         } else {
             let _ = writeln!(
                 out,
                 "<p>pass {} <span class=\"reverted\">reverted</span>: \
                  length would be {}, rotated J = {{{}}} rolled back</p>",
-                esc(&p.pass.to_string()),
-                esc(&p.length.to_string()),
-                esc(&names_of(&p.rotated, &mut name))
+                esc(p.pass),
+                esc(p.length),
+                esc(names_of(&p.rotated, &mut name))
             );
         }
     }
-    out
 }
 
-fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> String {
-    let bars: Vec<Bar> = p
+fn pass_strip(out: &mut String, p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) {
+    let bars: Vec<Bar<'_>> = p
         .remaps
         .iter()
         .map(|r| Bar {
@@ -248,7 +283,7 @@ fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> S
             duration: r.duration,
             rotated: true,
             label: name(r.node),
-            title: remap_title(r, &mut name),
+            remap: Some(r),
         })
         .collect();
     let span = bars
@@ -271,7 +306,7 @@ fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> S
             p.no_slots
         );
     }
-    gantt_svg(&caption, pes, span, &bars)
+    gantt_svg(out, &caption, pes, span, &bars);
 }
 
 fn ledger_comm(edges: &[EdgeTraffic]) -> u64 {
@@ -281,47 +316,51 @@ fn ledger_comm(edges: &[EdgeTraffic]) -> u64 {
         .fold(0u64, u64::saturating_add)
 }
 
-fn phase_label(pass: u32) -> String {
-    if pass == 0 {
-        "start-up (pass 0)".to_string()
-    } else {
-        format!("pass {pass}")
+/// A phase's display name: `start-up (pass 0)` or `pass N`.
+#[derive(Clone, Copy)]
+pub(crate) struct Phase(pub(crate) u32);
+
+impl fmt::Display for Phase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            0 => f.write_str("start-up (pass 0)"),
+            pass => write!(f, "pass {pass}"),
+        }
     }
 }
 
-fn heatmaps_section(profile: &CommProfile, machine: &Machine) -> String {
-    let mut out = String::new();
+fn heatmaps_section(out: &mut String, profile: &CommProfile, routes: &LinkRoutes) {
     if profile.pass_ledgers.is_empty() {
         out.push_str("<p>no accepted phases recorded</p>\n");
-        return out;
+        return;
     }
-    let can_route = routable(machine);
+    let can_route = routes.table().is_some();
     for l in &profile.pass_ledgers {
-        let caption = format!(
-            "{}: length {}, comm {}",
-            phase_label(l.pass),
-            l.length,
-            ledger_comm(&l.edges)
-        );
-        let loads = link_loads(machine, &l.edges);
-        out.push_str(&heatmap_svg_panel(
-            &caption,
+        heatmap_panel(
+            out,
+            format_args!(
+                "{}: length {}, comm {}",
+                Phase(l.pass),
+                l.length,
+                ledger_comm(&l.edges)
+            ),
             profile.pes,
             &l.edges,
-            &loads,
-            can_route,
-            false,
-        ));
+            &link_loads(routes, &l.edges),
+            PanelOptions {
+                routable: can_route,
+                ..PanelOptions::default()
+            },
+        );
     }
-    out
 }
 
 fn trajectory_section(
+    out: &mut String,
     profile: &CommProfile,
-    machine: &Machine,
+    routes: &LinkRoutes,
     mut name: impl FnMut(u32) -> String,
-) -> String {
-    let mut out = String::new();
+) {
     out.push_str(
         "<table>\n<thead><tr><th class=\"l\">phase</th><th class=\"l\">outcome</th>\
          <th>length</th><th>comm</th><th>crossing</th><th>local</th></tr></thead>\n<tbody>\n",
@@ -336,22 +375,21 @@ fn trajectory_section(
             out,
             "<tr><td class=\"l\">{}</td><td class=\"l\">{outcome}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&phase_label(p.pass)),
-            esc(&p.length.to_string()),
-            esc(&p.comm.to_string()),
-            esc(&p.crossing.to_string()),
-            esc(&p.local.to_string())
+            esc(Phase(p.pass)),
+            esc(p.length),
+            esc(p.comm),
+            esc(p.crossing),
+            esc(p.local)
         );
     }
     out.push_str("</tbody>\n</table>\n");
     let _ = writeln!(
         out,
         "<p>compute {} cells, best-schedule comm {} (hop-weighted)</p>",
-        esc(&profile.compute.to_string()),
-        esc(&profile.total_comm.to_string())
+        esc(profile.compute),
+        esc(profile.total_comm)
     );
 
-    let routes = routable(machine).then(|| RoutingTable::new(machine));
     for pair in profile.pass_ledgers.windows(2) {
         let (prev, cur) = (&pair[0], &pair[1]);
         let deltas = diff_ledgers(&prev.edges, &cur.edges);
@@ -360,17 +398,17 @@ fn trajectory_section(
         let _ = writeln!(
             out,
             "<h3>ledger diff: {} -> {}</h3>",
-            esc(&phase_label(prev.pass)),
-            esc(&phase_label(cur.pass))
+            esc(Phase(prev.pass)),
+            esc(Phase(cur.pass))
         );
         let _ = writeln!(
             out,
             "<p>comm {} -> {} ({}), {} of {} edge(s) moved</p>",
-            esc(&a.to_string()),
-            esc(&b.to_string()),
-            esc(&format!("{shift:+}")),
-            esc(&deltas.len().to_string()),
-            esc(&cur.edges.len().to_string())
+            esc(a),
+            esc(b),
+            esc(format_args!("{shift:+}")),
+            esc(deltas.len()),
+            esc(cur.edges.len())
         );
         if deltas.is_empty() {
             continue;
@@ -385,17 +423,17 @@ fn trajectory_section(
                 out,
                 "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td><td class=\"l\">{}</td>\
                  <td>{}</td><td>{}</td><td>{}</td></tr>",
-                esc(&format!(
+                esc(format_args!(
                     "e{} {}->{}",
                     d.after.edge,
                     name(d.after.src),
                     name(d.after.dst)
                 )),
-                esc(&route_label(routes.as_ref(), &d.before)),
-                esc(&route_label(routes.as_ref(), &d.after)),
-                esc(&d.before.cost().to_string()),
-                esc(&d.after.cost().to_string()),
-                esc(&format!("{:+}", d.delta()))
+                esc(route_label(routes.table(), &d.before)),
+                esc(route_label(routes.table(), &d.after)),
+                esc(d.before.cost()),
+                esc(d.after.cost()),
+                esc(format_args!("{:+}", d.delta()))
             );
         }
         out.push_str("</tbody>\n</table>\n");
@@ -403,11 +441,10 @@ fn trajectory_section(
             let _ = writeln!(
                 out,
                 "<p>({} more changed edge(s) not shown)</p>",
-                esc(&(deltas.len() - DIFF_TOP_K).to_string())
+                esc(deltas.len() - DIFF_TOP_K)
             );
         }
     }
-    out
 }
 
 fn witness_label(w: &Witness) -> String {
@@ -456,11 +493,10 @@ fn witness_label(w: &Witness) -> String {
     }
 }
 
-fn certificate_section(report: Option<&OptimalityReport>) -> String {
-    let mut out = String::new();
+fn certificate_section(out: &mut String, report: Option<&OptimalityReport>) {
     let Some(r) = report else {
         out.push_str("<p>no certificate was computed for this run</p>\n");
-        return out;
+        return;
     };
     let best = r.bounds.best_value();
     out.push_str(
@@ -477,8 +513,8 @@ fn certificate_section(report: Option<&OptimalityReport>) -> String {
             out,
             "<tr{binding}><td class=\"l\">{}</td><td>{}</td><td class=\"l\">{}</td></tr>",
             esc(c.kind.name()),
-            esc(&c.value.to_string()),
-            esc(&witness_label(&c.witness))
+            esc(c.value),
+            esc(witness_label(&c.witness))
         );
     }
     out.push_str("</tbody>\n</table>\n");
@@ -488,18 +524,18 @@ fn certificate_section(report: Option<&OptimalityReport>) -> String {
                 out,
                 "<p>period {}: <span class=\"accepted\">PROVABLY OPTIMAL</span> \
                  — meets the strongest floor {}</p>",
-                esc(&r.period.to_string()),
-                esc(&best.to_string())
+                esc(r.period),
+                esc(best)
             );
         }
         BoundsVerdict::Gap => {
             let _ = writeln!(
                 out,
                 "<p>period {}: within {} step(s) of the strongest proven floor {} (gap {}%)</p>",
-                esc(&r.period.to_string()),
-                esc(&r.gap.to_string()),
-                esc(&best.to_string()),
-                esc(&format!("{:.1}", r.gap_pct))
+                esc(r.period),
+                esc(r.gap),
+                esc(best),
+                esc(format_args!("{:.1}", r.gap_pct))
             );
         }
         BoundsVerdict::BoundExceeded => {
@@ -507,56 +543,101 @@ fn certificate_section(report: Option<&OptimalityReport>) -> String {
                 out,
                 "<p>period {}: <span class=\"reverted\">BELOW A PROVEN BOUND</span> \
                  — certifier or scheduler bug</p>",
-                esc(&r.period.to_string())
+                esc(r.period)
             );
         }
     }
     let _ = writeln!(
         out,
         "<details><summary>full certificate</summary>\n<pre>{}</pre>\n</details>",
-        esc(&r.render_human())
+        esc(r.render_human())
     );
-    out
+}
+
+/// The bytes [`render_report`] writes for a run, estimated from the
+/// counts that size each panel — matrix cells and links per heatmap,
+/// grid lines and bars per Gantt strip, rows of the trajectory — at
+/// their typical line lengths, so the page buffer is allocated once,
+/// close to its final size.
+fn page_size_hint(story: &RunStory, profile: &CommProfile, machine: &Machine) -> usize {
+    let pes = story.pes as usize;
+    let strip = |length: u32, bars: usize, candidates: usize| {
+        let length = length as usize;
+        320 + (length + 1) * 60
+            + (length.min(24) + 1) * 46
+            + pes * 48
+            + bars * 170
+            + candidates * 46
+    };
+    let mut schedule = strip(story.startup_length, story.startup.len(), 0);
+    for p in &story.passes {
+        schedule += if p.accepted {
+            let candidates = p.remaps.iter().map(|r| r.candidates.len()).sum();
+            strip(p.length, p.remaps.len(), candidates)
+        } else {
+            200
+        };
+    }
+    let panel = 512 + pes * 128 + pes * pes * 120 + machine.links().len() * 244;
+    let heatmaps = profile.pass_ledgers.len() * panel;
+    // A ledger diff shows at most `DIFF_TOP_K` rows: bound it by that.
+    let diffs: usize = profile
+        .pass_ledgers
+        .iter()
+        .map(|l| 300 + l.edges.len().min(DIFF_TOP_K) * 140)
+        .sum();
+    let trajectory = profile.passes.len() * 140 + diffs;
+    html::STYLE.len() + 4096 + schedule + heatmaps + trajectory
 }
 
 /// Renders the complete report document.  `name` resolves node indices
 /// to human names (the graph's node names, typically).
+///
+/// The page streams into one buffer: every section appends straight to
+/// it, and the buffer is sized once from the run's content.
 pub fn render_report(input: &ReportInput<'_>, mut name: impl FnMut(u32) -> String) -> String {
     let story = fold::fold(input.events);
+    let routes = LinkRoutes::new(input.machine);
     let accepted = story.accepted_passes().count();
-    let meta = format!(
-        "{} task(s) on {} PE(s) ({}); start-up length {} -> best {} after {} pass(es), {} accepted",
-        story.tasks,
-        story.pes,
-        input.machine.name(),
-        story.startup_length,
-        story.best_length,
-        story.passes_run,
-        accepted
+    let mut out = String::with_capacity(page_size_hint(&story, input.profile, input.machine));
+    html::document(
+        &mut out,
+        input.title,
+        format_args!(
+            "{} task(s) on {} PE(s) ({}); start-up length {} -> best {} after {} pass(es), {} accepted",
+            story.tasks,
+            story.pes,
+            input.machine.name(),
+            story.startup_length,
+            story.best_length,
+            story.passes_run,
+            accepted
+        ),
+        |out| {
+            html::section(
+                out,
+                "schedule",
+                "Schedule: start-up placement and accepted passes",
+                |out| schedule_section(out, &story, &mut name),
+            );
+            html::section(
+                out,
+                "heatmaps",
+                "Link-load heatmaps per accepted phase",
+                |out| heatmaps_section(out, input.profile, &routes),
+            );
+            html::section(
+                out,
+                "trajectory",
+                "Pass trajectory and ledger diffs",
+                |out| trajectory_section(out, input.profile, &routes, &mut name),
+            );
+            html::section(out, "certificate", "Optimality certificate", |out| {
+                certificate_section(out, input.certificate)
+            });
+        },
     );
-    let sections = [
-        (
-            "schedule",
-            "Schedule: start-up placement and accepted passes",
-            schedule_section(&story, &mut name),
-        ),
-        (
-            "heatmaps",
-            "Link-load heatmaps per accepted phase",
-            heatmaps_section(input.profile, input.machine),
-        ),
-        (
-            "trajectory",
-            "Pass trajectory and ledger diffs",
-            trajectory_section(input.profile, input.machine, &mut name),
-        ),
-        (
-            "certificate",
-            "Optimality certificate",
-            certificate_section(input.certificate),
-        ),
-    ];
-    html::document(input.title, &meta, &sections)
+    out
 }
 
 #[cfg(test)]
@@ -638,7 +719,8 @@ mod tests {
 
     #[test]
     fn gantt_viewbox_matches_width_and_height() {
-        let svg = gantt_svg("cap", 2, 3, &[]);
+        let mut svg = String::new();
+        gantt_svg(&mut svg, "cap", 2, 3, &[]);
         let w = G_LEFT + 3 * CW + 8;
         let h = G_TOP + 2 * RH + 6;
         assert!(svg.contains(&format!(

@@ -329,7 +329,8 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
         }
         if let Some(path) = &args.heatmap_svg {
             let can_route = cyclosched::profile::routable(&machine);
-            let svg = cyclosched::profile::render::heatmap_svg(profile, can_route);
+            let mut svg = String::new();
+            cyclosched::profile::render::heatmap_svg(&mut svg, profile, can_route);
             std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("wrote {path} (link-load heatmap SVG)");
         }

@@ -84,6 +84,25 @@ fn bound_clock_period_does_not_wrap_at_u32() {
 }
 
 #[test]
+fn schedule_past_the_last_control_step_fails_cleanly() {
+    // B's ASAP step is 2^32, one past what a schedule holds: scheduling
+    // refuses with an error instead of panicking, while `bound` still
+    // prints the full u64 values.
+    let graph = "node A t=4294967295\nnode B t=1\n\
+                 edge A -> B d=0 c=1\nedge B -> A d=1 c=1\n";
+    let out = run_with_stdin(&["schedule", "-", "--machine", "linear:4"], graph);
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains("task \"B\" runs past control step 4294967295"),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    let text = stdout_of(&run_with_stdin(&["bound", "-"], graph));
+    assert!(text.contains("iteration bound: 4294967296"), "{text}");
+}
+
+#[test]
 fn schedule_from_stdin_renders_a_table() {
     let out = run_with_stdin(&["schedule", "-", "--machine", "mesh:2x2"], GRAPH);
     let text = stdout_of(&out);
